@@ -33,8 +33,9 @@ use plp_nvm::NvmStats;
 /// Cache format version; part of every content address. v3 added the
 /// trailing content checksum (value corruption inside a numeric field
 /// re-parses cleanly, so stored-key verification alone cannot catch
-/// it).
-pub const CACHE_FORMAT: &str = "plp-run-cache v3";
+/// it); v4 added `NvmStats::late_bookings` as the `nvm` line's ninth
+/// field.
+pub const CACHE_FORMAT: &str = "plp-run-cache v4";
 
 /// 64-bit FNV-1a of `key` — the content address.
 pub fn key_hash(key: &str) -> u64 {
@@ -101,7 +102,7 @@ pub fn encode(key: &str, report: &RunReport) -> String {
     let n = &report.nvm;
     let _ = writeln!(
         out,
-        "nvm {} {} {} {} {} {} {} {}",
+        "nvm {} {} {} {} {} {} {} {} {}",
         n.reads,
         n.writes,
         n.writes_combined,
@@ -109,7 +110,8 @@ pub fn encode(key: &str, report: &RunReport) -> String {
         n.row_misses,
         n.queue_stall_cycles,
         n.read_retries,
-        n.read_failures
+        n.read_failures,
+        n.late_bookings
     );
     let s = &report.sanitizer;
     let _ = writeln!(
@@ -297,16 +299,19 @@ fn parse_body(p: &mut Parser<'_>) -> Option<RunReport> {
     let f = p.fields("nvm")?;
     let v: Vec<u64> = f.iter().map(|s| s.parse().ok()).collect::<Option<_>>()?;
     report.nvm = match v.as_slice() {
-        [reads, writes, combined, row_hits, row_misses, stall, retries, failures] => NvmStats {
-            reads: *reads,
-            writes: *writes,
-            writes_combined: *combined,
-            row_hits: *row_hits,
-            row_misses: *row_misses,
-            queue_stall_cycles: *stall,
-            read_retries: *retries,
-            read_failures: *failures,
-        },
+        [reads, writes, combined, row_hits, row_misses, stall, retries, failures, late] => {
+            NvmStats {
+                reads: *reads,
+                writes: *writes,
+                writes_combined: *combined,
+                row_hits: *row_hits,
+                row_misses: *row_misses,
+                queue_stall_cycles: *stall,
+                read_retries: *retries,
+                read_failures: *failures,
+                late_bookings: *late,
+            }
+        }
         _ => return None,
     };
     let s = p.fields("sanitizer")?;
@@ -500,6 +505,14 @@ mod tests {
     }
 
     #[test]
+    fn late_bookings_roundtrip() {
+        let (key, mut report) = sample();
+        report.nvm.late_bookings = 5;
+        let text = encode(&key, &report);
+        assert_eq!(decode(&key, &text), Some(report));
+    }
+
+    #[test]
     fn wrong_key_and_corruption_are_misses() {
         let (key, report) = sample();
         let text = encode(&key, &report);
@@ -542,7 +555,7 @@ mod tests {
             Err(CacheFault::KeyMismatch)
         );
         assert_eq!(
-            decode_checked(&key, &text.replace(CACHE_FORMAT, "plp-run-cache v2")),
+            decode_checked(&key, &text.replace(CACHE_FORMAT, "plp-run-cache v3")),
             Err(CacheFault::Version)
         );
         let truncated = &text[..text.len() / 2];

@@ -833,6 +833,15 @@ fn table1_render(_results: &ResultSet, settings: RunSettings) -> String {
     out
 }
 
+/// The first index `i` with `pages[i] != pages[i + 1]`, searching the
+/// second half of the run before the first.
+fn page_change<T: PartialEq>(pages: &[T]) -> Option<usize> {
+    let n = pages.len();
+    (n / 2..n.saturating_sub(1))
+        .chain(0..n / 2)
+        .find(|&i| pages[i] != pages[i + 1])
+}
+
 fn table2_render(_results: &ResultSet, settings: RunSettings) -> String {
     let mut out = String::new();
     let mut cfg = SystemConfig::for_scheme(UpdateScheme::Sp);
@@ -843,12 +852,17 @@ fn table2_render(_results: &ResultSet, settings: RunSettings) -> String {
     let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
     let checker = RecoveryChecker::new(cfg.bmt, cfg.key);
 
-    // Pick two mid-run persists to *different* pages so the component
+    // Pick two adjacent persists to *different* pages so the component
     // swap is meaningful, and crash between their completions.
-    let first = (report.records.len() / 2..report.records.len() - 1)
-        .find(|&i| report.records[i].addr.page() != report.records[i + 1].addr.page())
-        // lint: allow(no-panic-lib) the milc trace always persists to multiple pages
-        .expect("adjacent different-page persists");
+    let pages: Vec<_> = report.records.iter().map(|r| r.addr.page()).collect();
+    let Some(first) = page_change(&pages) else {
+        let _ = writeln!(
+            out,
+            "no suitable pair: none of the {} persists is followed by one to a different page",
+            pages.len()
+        );
+        return out;
+    };
     let second = first + 1;
     let t1 = report.records[first].completed_at();
     let t2 = report.records[second].completed_at();
@@ -1261,6 +1275,37 @@ mod tests {
             seed: 7,
         };
         assert_eq!(shard_spec().settings(big).instructions, 60_000);
+    }
+
+    #[test]
+    fn page_change_prefers_the_second_half() {
+        assert_eq!(page_change::<u64>(&[]), None);
+        assert_eq!(page_change(&[1]), None);
+        assert_eq!(page_change(&[1, 1, 1, 1]), None);
+        assert_eq!(page_change(&[1, 2]), Some(0));
+        assert_eq!(page_change(&[1, 2, 2, 2, 3, 3]), Some(3));
+        assert_eq!(page_change(&[1, 2, 3, 3, 3, 3]), Some(0));
+    }
+
+    #[test]
+    fn table2_renders_at_seed_2() {
+        // At seed 2 every persist of milc's 20k-instruction run goes
+        // to one page: the table says so instead of panicking. Seed 7
+        // still renders the full table.
+        let spec = find("table2").unwrap();
+        let render = |seed| {
+            let raw = RunSettings {
+                instructions: 100_000,
+                seed,
+            };
+            spec.output(&ResultSet::default(), raw)
+        };
+        let seed2 = render(2);
+        assert!(seed2.contains("\nno suitable pair: "), "{seed2}");
+        assert!(!seed2.contains("crash between"), "{seed2}");
+        let seed7 = render(7);
+        assert!(seed7.contains("crash between their persists"), "{seed7}");
+        assert!(seed7.contains("BMT failure for C1"), "{seed7}");
     }
 
     #[test]

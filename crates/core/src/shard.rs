@@ -743,6 +743,7 @@ fn merge_into(acc: &mut RunReport, r: RunReport) {
     acc.nvm.queue_stall_cycles += r.nvm.queue_stall_cycles;
     acc.nvm.read_retries += r.nvm.read_retries;
     acc.nvm.read_failures += r.nvm.read_failures;
+    acc.nvm.late_bookings += r.nvm.late_bookings;
     acc.sanitizer.merge(&r.sanitizer);
     acc.records.extend(r.records);
 }

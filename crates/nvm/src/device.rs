@@ -1,7 +1,7 @@
 //! The bank/row timing model of the NVM device.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
@@ -31,6 +31,11 @@ pub struct NvmStats {
     /// Reads whose retry budget was exhausted: the device delivered
     /// unreliable data and upstream integrity checks must catch it.
     pub read_failures: u64,
+    /// Bank bookings requested at a time below the horizon of that
+    /// bank's most recent reservation prune: the only bookings whose
+    /// start could differ from an unpruned schedule. The model assumes
+    /// none; a nonzero count means a bank may have been double-booked.
+    pub late_bookings: u64,
 }
 
 /// One splitmix64 step — the device's replayable fault stream.
@@ -51,6 +56,14 @@ fn fault_roll(state: &mut u64, p: f64) -> bool {
     unit < p
 }
 
+/// How far behind a bank's schedule frontier (its latest reservation
+/// end) a reservation may end and still be kept; older ones are
+/// pruned.
+const HORIZON: u64 = 2_000_000;
+
+/// A bank's reservation map is never pruned below this many entries.
+const MIN_PRUNE_LEN: usize = 1024;
+
 /// One bank's schedule: non-overlapping busy reservations.
 ///
 /// Requests do not arrive in time order — the security engine books
@@ -62,38 +75,68 @@ fn fault_roll(state: &mut u64, p: f64) -> bool {
 #[derive(Debug, Clone, Default)]
 struct Bank {
     /// start -> end of each reservation, non-overlapping.
-    reservations: std::collections::BTreeMap<u64, u64>,
+    reservations: BTreeMap<u64, u64>,
     /// Chronologically last access's row (row-buffer state).
     open_row: Option<u64>,
     /// End of the chronologically last reservation.
     latest_end: u64,
+    /// The map is pruned once it grows past this many entries (and
+    /// past [`MIN_PRUNE_LEN`]); each prune doubles what it leaves.
+    prune_at: usize,
+    /// The horizon of the most recent prune: every reservation ending
+    /// before it may be gone.
+    pruned_below: u64,
+    /// Bookings whose `now` lay below `pruned_below` — the only ones
+    /// whose answer can differ from an unpruned schedule.
+    late_bookings: u64,
+    /// Prune passes so far.
+    #[cfg(test)]
+    prunes: u64,
+}
+
+/// The start of the earliest gap of `len` cycles at or after `now` in
+/// a map of non-overlapping `start -> end` reservations.
+fn earliest_gap(reservations: &BTreeMap<u64, u64>, now: u64, len: u64) -> u64 {
+    let mut candidate = now;
+    // A reservation already covering `candidate` pushes it to its end.
+    if let Some((_, &e)) = reservations.range(..=candidate).next_back() {
+        if e > candidate {
+            candidate = e;
+        }
+    }
+    // Walk later reservations until a large-enough gap appears.
+    for (&s, &e) in reservations.range(candidate..) {
+        if s >= candidate + len {
+            break;
+        }
+        candidate = candidate.max(e);
+    }
+    candidate
 }
 
 impl Bank {
     /// Books `len` busy cycles at the earliest gap at or after `now`;
     /// returns the start time.
     fn reserve(&mut self, now: u64, len: u64) -> u64 {
-        let mut candidate = now;
-        // A reservation already covering `candidate` pushes it to its
-        // end.
-        if let Some((_, &e)) = self.reservations.range(..=candidate).next_back() {
-            if e > candidate {
-                candidate = e;
-            }
+        if now < self.pruned_below {
+            self.late_bookings += 1;
         }
-        // Walk later reservations until a large-enough gap appears.
-        for (&s, &e) in self.reservations.range(candidate..) {
-            if s >= candidate + len {
-                break;
-            }
-            candidate = candidate.max(e);
-        }
+        let candidate = earliest_gap(&self.reservations, now, len);
         self.reservations.insert(candidate, candidate + len);
         // Bounded memory: drop reservations far behind the schedule
-        // frontier (no future request plausibly lands there).
-        if self.reservations.len() > 1024 {
-            let horizon = self.latest_end.saturating_sub(2_000_000);
+        // frontier (no future request plausibly lands there). Pruning
+        // only once the map has doubled since the last prune keeps a
+        // booking amortized O(log n) even when every reservation is
+        // still inside the horizon and the prune removes nothing.
+        if self.reservations.len() > self.prune_at.max(MIN_PRUNE_LEN) {
+            let horizon = self.latest_end.saturating_sub(HORIZON);
             self.reservations.retain(|_, &mut e| e >= horizon);
+            self.pruned_below = horizon;
+            self.prune_at = 2 * self.reservations.len();
+            #[cfg(test)]
+            {
+                self.prunes += 1;
+            }
         }
         candidate
     }
@@ -211,7 +254,10 @@ impl NvmDevice {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> NvmStats {
-        self.stats
+        NvmStats {
+            late_bookings: self.banks.iter().map(|b| b.late_bookings).sum(),
+            ..self.stats
+        }
     }
 
     /// Maps a block address to `(bank, row-within-bank)` according to
@@ -549,6 +595,94 @@ mod tests {
         assert_eq!(t.get(), 290);
         assert_eq!(d.stats().read_retries, 0);
         assert_eq!(d.stats().read_failures, 0);
+    }
+
+    /// Books `len` cycles at `now` the way the device does, advancing
+    /// the bank's frontier; returns the start.
+    fn book(bank: &mut Bank, now: u64, len: u64) -> u64 {
+        let start = bank.reserve(now, len);
+        bank.latest_end = bank.latest_end.max(start + len);
+        start
+    }
+
+    #[test]
+    fn pruning_never_changes_a_booking_inside_the_horizon() {
+        // A seeded stream of bookings, most future-dated just past the
+        // frontier and the rest anywhere inside the horizon behind it,
+        // against a reference schedule that is never pruned.
+        let mut bank = Bank::default();
+        let mut reference = BTreeMap::new();
+        let mut rng = 0x5EED_u64;
+        for _ in 0..100_000 {
+            let r = splitmix_next(&mut rng);
+            let frontier = bank.latest_end;
+            let now = if r.is_multiple_of(4) {
+                frontier.saturating_sub((r >> 8) % HORIZON)
+            } else {
+                frontier + (r >> 8) % 2_000
+            };
+            let len = [70, 290, 600][(r >> 40) as usize % 3];
+            let expected = earliest_gap(&reference, now, len);
+            reference.insert(expected, expected + len);
+            assert_eq!(book(&mut bank, now, len), expected, "booking at {now}");
+        }
+        assert!(bank.prunes > 0, "the stream must outgrow the prune floor");
+        assert!(
+            bank.reservations.len() < reference.len(),
+            "the prunes must actually drop reservations"
+        );
+        assert_eq!(bank.late_bookings, 0);
+    }
+
+    #[test]
+    fn reservation_map_stays_bounded_and_prunes_logarithmically() {
+        // Back-to-back bookings at the frontier: for the first
+        // HORIZON / LEN of them nothing is old enough to prune (the
+        // case that used to cost a full pass per booking), after that
+        // the window slides.
+        const LEN: u64 = 10;
+        let mut bank = Bank::default();
+        for i in 0..300_000 {
+            assert_eq!(book(&mut bank, i * LEN, LEN), i * LEN);
+            let booked = i + 1;
+            // Reservations still inside the horizon of the frontier.
+            let live = booked.min(HORIZON / LEN + 1) as usize;
+            assert!(
+                bank.reservations.len() <= 2 * live + MIN_PRUNE_LEN,
+                "{} entries for {live} live after {booked} bookings",
+                bank.reservations.len()
+            );
+            let log_bound = match booked as f64 / MIN_PRUNE_LEN as f64 {
+                x if x <= 1.0 => 0,
+                x => x.log2().ceil() as u64 + 1,
+            };
+            assert!(
+                bank.prunes <= log_bound,
+                "{} prune passes after {booked} bookings (bound {log_bound})",
+                bank.prunes
+            );
+        }
+        assert_eq!(bank.late_bookings, 0);
+    }
+
+    #[test]
+    fn bookings_behind_the_pruned_horizon_are_counted() {
+        let mut bank = Bank::default();
+        let mut i = 0;
+        while bank.pruned_below == 0 {
+            book(&mut bank, i * 1_000, 1_000);
+            i += 1;
+        }
+        let horizon = bank.pruned_below;
+        book(&mut bank, horizon, 10);
+        assert_eq!(bank.late_bookings, 0, "the horizon itself is not late");
+        book(&mut bank, horizon - 1, 10);
+        assert_eq!(bank.late_bookings, 1);
+
+        // The device reports the sum over its banks.
+        let mut d = dev();
+        d.banks[3] = bank;
+        assert_eq!(d.stats().late_bookings, 1);
     }
 
     #[test]

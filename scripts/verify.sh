@@ -10,6 +10,12 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Long-run regressions: sp and o3 on gcc at 2M instructions, cycle
+# counts and NVM counters pinned, no booking behind a pruned bank
+# horizon, sanitizer clean. Ignored by the plain test run because they
+# are slow in debug builds.
+cargo test --release -q -p plp-core --test long_runs -- --ignored
+
 # Lint self-test: the fixture corpus under crates/analyze/tests/
 # fixtures must match exactly — every fire/ mutant produces its
 # seeded //~ ERROR markers (engine-contract, failpoint-coverage,
@@ -151,10 +157,13 @@ rm -f "$id_img"
 
 # Perf gate: the hotpath microbench writes BENCH_hotpath.json and
 # fails on a >10% per-scheme regression of the load-normalized
-# relative cost (host ns/persist divided by a pure-CPU calibration
-# workload timed around the same sample) against the committed
-# baseline. Raw ns and wall-clock fields are informational — they
-# track machine load — only relative_cost gates. The committed
+# relative cost (host time per simulated instruction divided by a
+# pure-CPU calibration workload timed around the same sample) against
+# the committed baseline, or when its linearity probe (o3 on gcc at
+# 0.4M and 1.6M instructions, best of reps) finds the 4x run more than
+# 6.0x slower. Raw ns (per instruction, per node update) and
+# wall-clock fields are informational — they track machine load —
+# only relative_cost and the scaling ratio gate. The committed
 # baseline is an envelope: per-scheme max of several fresh runs,
 # inflated 1.15x, so ambient contention cannot trip the gate while a
 # real hot-path regression (e.g. reverting the BMT arena to a map,
