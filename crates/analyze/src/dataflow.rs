@@ -189,31 +189,6 @@ fn block_hits<'a>(
     true
 }
 
-/// Like [`must_hit_from`], but asks the question *after* the atom at
-/// `(block, atom_idx)`: must every onward path hit a gen atom before
-/// the exit?
-pub fn must_hit_after<'a>(
-    cfg: &Cfg<'a>,
-    table: &[bool],
-    is_gen: &dyn Fn(&Atom<'a>) -> bool,
-    optimistic: bool,
-    block: BlockId,
-    atom_idx: usize,
-) -> bool {
-    if cfg.blocks[block].atoms[atom_idx + 1..].iter().any(is_gen) {
-        return true;
-    }
-    let mut any = false;
-    for s in cfg.succs(block, optimistic) {
-        any = true;
-        if s == cfg.exit || !table[s] {
-            return false;
-        }
-    }
-    let _ = any;
-    true
-}
-
 /// Forward single-bit analysis with OR-meet. `transfer` folds one
 /// atom into the state. Returns per-block `(in, out)` states; the
 /// state arriving at [`Cfg::exit`]'s IN is the function-exit state.
@@ -388,27 +363,6 @@ mod tests {
         // The infinite loop never reaches the exit, so the only path
         // that matters crosses seal().
         assert!(must_hit_from(&cfg, &gen, true)[cfg.entry]);
-    }
-
-    #[test]
-    fn must_hit_after_scans_rest_of_block() {
-        let src = "fn f() { ready(); note(); }";
-        let cfg = cfg_of(src);
-        let gen = |a: &Atom<'_>| has_call(a, "note");
-        let table = must_hit_from(&cfg, &gen, true);
-        let (b, i, _) = cfg
-            .atoms()
-            .find(|(_, _, a)| has_call(a, "ready"))
-            .expect("ready");
-        assert!(must_hit_after(&cfg, &table, &gen, true, b, i));
-        let src2 = "fn f() { note(); ready(); }";
-        let cfg2 = cfg_of(src2);
-        let table2 = must_hit_from(&cfg2, &gen, true);
-        let (b2, i2, _) = cfg2
-            .atoms()
-            .find(|(_, _, a)| has_call(a, "ready"))
-            .expect("ready");
-        assert!(!must_hit_after(&cfg2, &table2, &gen, true, b2, i2));
     }
 
     #[test]

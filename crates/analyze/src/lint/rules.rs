@@ -51,10 +51,10 @@ pub const NO_RAW_PROCESS_KILL: RuleId = "no-raw-process-kill";
 /// caller driving a shard directly bypasses the root-of-roots epoch
 /// barrier the coordinator enforces.
 pub const NO_CROSS_SHARD_STATE: RuleId = "no-cross-shard-state";
-/// On every path through an `UpdateEngine` persist method, each
-/// update must be reported through `EngineCtx::note_update` before the
-/// batch is sealed, and no early return may leave noted updates
-/// unsealed. Checked by CFG dataflow in `passes::engine_contract`.
+/// On every path through an `UpdateEngine` persist method, no early
+/// return may leave node updates (`EngineCtx::update_node`) unsealed,
+/// and no `continue` may skip an iteration's update. Checked by CFG
+/// dataflow in `passes::engine_contract`.
 pub const ENGINE_CONTRACT: RuleId = "engine-contract";
 /// Every path through the system persist drivers (`persist_block`,
 /// `seal_epoch`) and the durable recovery driver (`recover_image`)
@@ -86,7 +86,7 @@ pub const RULES: [RuleId; 11] = [
 ];
 
 /// Default diagnostic code for a rule's lexical findings. Semantic
-/// passes attach more specific codes (`PLP-E001`…); this covers the
+/// passes attach more specific codes (`PLP-E002`…); this covers the
 /// scanner-produced rules and the meta rule.
 pub fn code_for(rule: RuleId) -> &'static str {
     match rule {

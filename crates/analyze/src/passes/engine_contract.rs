@@ -5,20 +5,21 @@
 //! mutant factory is exempt (its seeded violations are the sanitizer's
 //! test corpus), as is test code.
 //!
-//! Three obligations, all proved on the CFG under the optimistic loop
-//! stance (a real walk visits at least one tree level):
+//! An engine updates a node only through `EngineCtx::update_node`,
+//! which fetches the node, charges the MAC and reports the update in
+//! one call; the fetch and the report are private to the context
+//! module, so "a fetched node is always reported" (the retired
+//! PLP-E001) is enforced by rustc. Two obligations remain, both proved
+//! on the CFG under the optimistic loop stance (a real walk visits at
+//! least one tree level):
 //!
-//! * **PLP-E001** — an update prepared via `node_ready` must be
-//!   reported through `note_update` on *every* onward path before the
-//!   function exits. A path that fetches/verifies a node but never
-//!   notes it hides work from the sanitizer tap.
 //! * **PLP-E002** — no exit may leave noted updates unsealed: once a
-//!   path notes an update, it must write engine state (`self` field
+//!   path updates a node, it must write engine state (`self` field
 //!   assignment or a mutating collection call — the seal/ack) before
-//!   returning. An early `return` between note and seal fires here.
-//! * **PLP-E003** — per-iteration form of E001: a `continue` that
-//!   jumps back to the loop header before the iteration's note leaves
-//!   that level unreported even though the walk moved on.
+//!   returning. An early `return` between update and seal fires here.
+//! * **PLP-E003** — a `continue` that jumps back to the loop header
+//!   before the iteration's `update_node` leaves that level unupdated
+//!   even though the walk moved on.
 
 use crate::cfg::{self, Atom, AtomKind, EdgeKind};
 use crate::dataflow;
@@ -49,26 +50,6 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
                     || e.calls.iter().any(|c| u.call_writes_self(c, owner))
             })
         };
-
-        // E001: every node_ready is followed by a note on all paths.
-        let note_table = dataflow::must_hit_from(&cfg, &notes, true);
-        for (b, i, a) in cfg.atoms() {
-            let prepares = a
-                .expr
-                .is_some_and(|e| e.calls.iter().any(|c| c.name == "node_ready"));
-            if prepares && !dataflow::must_hit_after(&cfg, &note_table, &notes, true, b, i) {
-                emit(
-                    u,
-                    file,
-                    ENGINE_CONTRACT,
-                    "PLP-E001",
-                    a.line,
-                    0,
-                    "node_ready result can reach the exit without note_update",
-                    out,
-                );
-            }
-        }
 
         // E002: needs-seal bit — set by a note, cleared by a seal. Any
         // exit predecessor still carrying the bit returns unsealed
@@ -161,7 +142,7 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
                             "PLP-E003",
                             a.line,
                             0,
-                            "continue skips this iteration's note_update",
+                            "continue skips this iteration's update_node",
                             out,
                         );
                         noted = true; // stop exploring past the continue

@@ -1,6 +1,6 @@
 //@ path: crates/core/src/engine/fx_ok.rs
-//! Clean engine: a guard return before any work, every prepared node
-//! noted in-iteration, a continue only after the note, and the walk
+//! Clean engine: a guard return before any work, every level updated
+//! in-iteration, a continue only after the update, and the walk
 //! sealed into engine state before the exit.
 
 pub struct Engine {
@@ -15,20 +15,19 @@ impl Engine {
         }
         let mut done = t;
         for lvl in 0..levels {
-            let node = ctx.node_ready(lvl);
-            ctx.note_update(node, t);
+            let updated = ctx.update_node(lvl, lvl, t);
             if lvl == 3 {
                 continue;
             }
-            done = t + lvl;
+            done = updated;
         }
         self.busy_until = done;
         done
     }
 
     pub fn seal_only(&mut self, ctx: &mut EngineCtx, t: u64) -> u64 {
-        ctx.note_update(0, t);
-        self.inflight.push(t);
-        t
+        let done = ctx.update_node(0, 1, t);
+        self.inflight.push(done);
+        done
     }
 }

@@ -1,8 +1,8 @@
 //@ path: crates/core/src/engine/triad_fx.rs
 //! Clean triad_nvm-shaped engine: the walk is truncated at the
-//! persisted floor, but every level it does visit is prepared *and*
-//! noted in-iteration, and the relaxed-region lag is sealed into
-//! engine state before any exit.
+//! persisted floor, but every level it does visit is updated
+//! in-iteration, and the relaxed-region lag is sealed into engine
+//! state before any exit.
 
 pub struct Triad {
     pub busy_until: u64,
@@ -17,9 +17,7 @@ impl Triad {
         let mut done = t;
         // Strict region only: floor..=levels, deepest first.
         for lvl in floor..levels {
-            let node = ctx.node_ready(lvl);
-            ctx.note_update(node, t);
-            done = t + lvl;
+            done = ctx.update_node(lvl, lvl, done);
         }
         // The relaxed upper tree persists behind the lag register.
         self.lag = done + floor;

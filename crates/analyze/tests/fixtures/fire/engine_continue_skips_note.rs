@@ -1,6 +1,6 @@
 //@ path: crates/core/src/engine/fx_continue.rs
 //! E003 mutant: a `continue` jumps back to the walk-loop header
-//! before the iteration's `note_update`, silently dropping a level.
+//! before the iteration's `update_node`, silently dropping a level.
 
 pub struct Mutant {
     pub inflight: Vec<u64>,
@@ -13,8 +13,7 @@ impl Mutant {
             if lvl == skip {
                 continue; //~ ERROR engine-contract PLP-E003
             }
-            ctx.note_update(lvl, lvl);
-            done = lvl;
+            done = ctx.update_node(lvl, lvl, done);
         }
         self.inflight.push(done);
         done

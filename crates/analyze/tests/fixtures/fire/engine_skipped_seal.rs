@@ -1,6 +1,6 @@
 //@ path: crates/core/src/engine/fx_skipped_seal.rs
-//! E002 mutant: an early return between the note and the seal leaves
-//! the exit path with noted-but-unsealed updates.
+//! E002 mutant: an early return between the node update and the seal
+//! leaves the exit path with updated-but-unsealed state.
 
 pub struct Mutant {
     pub busy_until: u64,
@@ -8,11 +8,11 @@ pub struct Mutant {
 
 impl Mutant {
     pub fn persist(&mut self, ctx: &mut EngineCtx, t: u64, full: bool) -> u64 {
-        ctx.note_update(1, t);
+        let done = ctx.update_node(1, 1, t);
         if full {
-            return t; //~ ERROR engine-contract PLP-E002
+            return done; //~ ERROR engine-contract PLP-E002
         }
-        self.busy_until = t;
-        t
+        self.busy_until = done;
+        done
     }
 }

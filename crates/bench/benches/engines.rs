@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use plp_bmt::BmtGeometry;
 use plp_core::engine::{
     CoalescingEngine, EngineCtx, EngineStats, OooEngine, PipelinedEngine, SequentialEngine,
-    UpdateRequest,
+    UpdateEngine, UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
 use plp_events::Cycle;
@@ -53,7 +53,7 @@ const BURST: u64 = 256;
 fn bench_sequential(c: &mut Criterion) {
     c.bench_function("engine/sequential-256-persists", |b| {
         b.iter_batched(
-            || (Harness::new(), SequentialEngine::new(Cycle::new(40))),
+            || (Harness::new(), SequentialEngine::default()),
             |(mut h, mut e)| {
                 let mut last = Cycle::ZERO;
                 for i in 0..BURST {
@@ -73,7 +73,7 @@ fn bench_sequential(c: &mut Criterion) {
 fn bench_pipelined(c: &mut Criterion) {
     c.bench_function("engine/pipelined-256-persists", |b| {
         b.iter_batched(
-            || (Harness::new(), PipelinedEngine::new(Cycle::new(40), 9, 64)),
+            || (Harness::new(), PipelinedEngine::new(9, 64)),
             |(mut h, mut e)| {
                 let mut last = Cycle::ZERO;
                 for i in 0..BURST {
@@ -93,9 +93,9 @@ fn bench_pipelined(c: &mut Criterion) {
 fn bench_ooo(c: &mut Criterion) {
     c.bench_function("engine/ooo-8-epochs-of-32", |b| {
         b.iter_batched(
-            || (Harness::new(), OooEngine::new(Cycle::new(40), 9, 2)),
+            || (Harness::new(), OooEngine::new(9, 2)),
             |(mut h, mut e)| {
-                let mut last = Cycle::ZERO;
+                let mut last = None;
                 for epoch in 0..8u64 {
                     for i in 0..32u64 {
                         let req = UpdateRequest {
@@ -104,7 +104,7 @@ fn bench_ooo(c: &mut Criterion) {
                         };
                         let _ = e.persist(req, &mut h.ctx());
                     }
-                    last = e.seal_epoch();
+                    last = e.seal_epoch(&mut h.ctx());
                 }
                 black_box(last)
             },
@@ -116,9 +116,9 @@ fn bench_ooo(c: &mut Criterion) {
 fn bench_coalescing(c: &mut Criterion) {
     c.bench_function("engine/coalescing-8-epochs-of-32", |b| {
         b.iter_batched(
-            || (Harness::new(), CoalescingEngine::new(Cycle::new(40), 9, 2)),
+            || (Harness::new(), CoalescingEngine::new(9, 2)),
             |(mut h, mut e)| {
-                let mut last = Cycle::ZERO;
+                let mut last = None;
                 for epoch in 0..8u64 {
                     for i in 0..32u64 {
                         let req = UpdateRequest {

@@ -323,6 +323,16 @@ impl SystemConfig {
     pub fn triad_floor(&self) -> u32 {
         self.bmt.levels().saturating_sub(self.triad_persisted_levels) + 1
     }
+
+    /// The MAC latency the persist path charges: zero under ideal
+    /// metadata, [`SystemConfig::mac_latency`] otherwise.
+    pub fn effective_mac(&self) -> Cycle {
+        if self.ideal_metadata {
+            Cycle::ZERO
+        } else {
+            self.mac_latency
+        }
+    }
 }
 
 #[cfg(test)]

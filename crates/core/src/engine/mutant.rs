@@ -43,7 +43,6 @@ pub enum Mutation {
 #[derive(Debug)]
 pub struct MutantEngine {
     mutation: Mutation,
-    mac_latency: Cycle,
     /// Per-level completion of sealed epochs (the gate
     /// [`Mutation::IgnoreEpochGate`] ignores).
     prev_epoch_level_done: Vec<Cycle>,
@@ -55,10 +54,9 @@ pub struct MutantEngine {
 
 impl MutantEngine {
     /// Creates a mutant for a `levels`-deep tree.
-    pub fn new(mutation: Mutation, mac_latency: Cycle, levels: u32) -> Self {
+    pub fn new(mutation: Mutation, levels: u32) -> Self {
         MutantEngine {
             mutation,
-            mac_latency,
             prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
             cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
             last_reported_seal: None,
@@ -66,7 +64,7 @@ impl MutantEngine {
         }
     }
 
-    fn update_node(
+    fn gated_update(
         &mut self,
         label: plp_bmt::NodeLabel,
         level: u32,
@@ -79,8 +77,7 @@ impl MutantEngine {
             Mutation::IgnoreEpochGate => at,
             _ => at.max(self.prev_epoch_level_done[slot]),
         };
-        let done = ctx.node_ready(label, gate) + self.mac_latency;
-        ctx.note_update(label, level, done);
+        let done = ctx.update_node(label, level, gate);
         self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
         done
     }
@@ -95,7 +92,7 @@ impl UpdateEngine for MutantEngine {
                     if level == skip {
                         continue; // the planted bug
                     }
-                    t = self.update_node(label, level, t, ctx);
+                    t = self.gated_update(label, level, t, ctx);
                 }
             }
             Mutation::ReverseWalk => {
@@ -107,13 +104,13 @@ impl UpdateEngine for MutantEngine {
                 let levels = ctx.geometry.levels();
                 for level in 1..=levels {
                     let label = path[level_slot(levels - level)];
-                    t = self.update_node(label, level, t, ctx);
+                    t = self.gated_update(label, level, t, ctx);
                 }
                 *ctx.walk = path;
             }
             Mutation::IgnoreEpochGate | Mutation::RegressSeal => {
                 for (label, level) in ctx.geometry.walk_up(req.leaf) {
-                    t = self.update_node(label, level, t, ctx);
+                    t = self.gated_update(label, level, t, ctx);
                 }
             }
         }
@@ -159,7 +156,7 @@ mod tests {
     #[test]
     fn skip_level_walks_one_short() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::SkipLevel(2), h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::SkipLevel(2), 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.tapped_ctx());
         assert_eq!(h.stats.node_updates, 3);
@@ -169,7 +166,7 @@ mod tests {
     #[test]
     fn reverse_walk_completes_root_before_leaf() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::ReverseWalk, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::ReverseWalk, 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.tapped_ctx());
         let root = h.tap.iter().find(|ev| ev.level == 1).copied();
@@ -181,7 +178,7 @@ mod tests {
     #[test]
     fn regress_seal_reports_backwards_completions() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::RegressSeal, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::RegressSeal, 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.ctx());
         let c1 = e.seal_epoch(&mut h.ctx()).expect("epoch engine seals");
@@ -194,7 +191,7 @@ mod tests {
     #[test]
     fn ignore_epoch_gate_lets_updates_jump_the_handoff() {
         let mut h = CtxHarness::cold();
-        let mut e = MutantEngine::new(Mutation::IgnoreEpochGate, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::IgnoreEpochGate, 4);
         // Epoch 0: a cold walk with late completions.
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.ctx());

@@ -3,7 +3,7 @@
 
 use plp_events::Cycle;
 
-use super::{level_slot, EngineCtx, UpdateRequest};
+use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
 
 /// The ETT/PTT engine of §V-B: persists of the *same* epoch update the
 /// tree out of order through fully pipelined MAC units (§IV-B1 proves
@@ -18,7 +18,6 @@ use super::{level_slot, EngineCtx, UpdateRequest};
 /// updates are modelled as pure latency after their gates.
 #[derive(Debug, Clone)]
 pub struct OooEngine {
-    mac_latency: Cycle,
     /// Per-level completion of the *previous* epoch: the ETT's level
     /// authorization (index = level - 1).
     prev_epoch_level_done: Vec<Cycle>,
@@ -38,10 +37,9 @@ impl OooEngine {
     /// # Panics
     ///
     /// Panics if `ett_entries` is zero.
-    pub fn new(mac_latency: Cycle, levels: u32, ett_entries: usize) -> Self {
+    pub fn new(levels: u32, ett_entries: usize) -> Self {
         assert!(ett_entries > 0, "ETT needs at least one entry");
         OooEngine {
-            mac_latency,
             prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
             cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
             epoch_completions: Vec::new(),
@@ -50,20 +48,10 @@ impl OooEngine {
         }
     }
 
-    /// Schedules one persist's walk; returns its own root-done time
-    /// (persists of the same epoch complete in any order).
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        let mut t = req.now.max(self.epoch_floor);
-        for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = self.update_node(label, level, t, ctx);
-        }
-        t
-    }
-
     /// Schedules one node update at `at` under the epoch's constraints;
     /// shared with the coalescing engine. Callers pass the level they
     /// already track for the walk.
-    pub(super) fn update_node(
+    pub(super) fn epoch_update(
         &mut self,
         label: plp_bmt::NodeLabel,
         level: u32,
@@ -71,10 +59,7 @@ impl OooEngine {
         ctx: &mut EngineCtx<'_>,
     ) -> Cycle {
         let slot = level_slot(level - 1);
-        let gate = at.max(self.prev_epoch_level_done[slot]);
-        let ready = ctx.node_ready(label, gate);
-        let done = ready + self.mac_latency;
-        ctx.note_update(label, level, done);
+        let done = ctx.update_node(label, level, at.max(self.prev_epoch_level_done[slot]));
         self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
         done
     }
@@ -84,11 +69,23 @@ impl OooEngine {
     pub(super) fn floor(&self) -> Cycle {
         self.epoch_floor
     }
+}
+
+impl UpdateEngine for OooEngine {
+    /// Schedules one persist's walk; returns its own root-done time
+    /// (persists of the same epoch complete in any order).
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+        let mut t = req.now.max(self.epoch_floor);
+        for (label, level) in ctx.geometry.walk_up(req.leaf) {
+            t = self.epoch_update(label, level, t, ctx);
+        }
+        t
+    }
 
     /// Seals the current epoch: per-level completions become the next
     /// epoch's authorization levels, and the ETT capacity sets the next
     /// epoch's admission floor. Returns the sealed epoch's completion.
-    pub fn seal_epoch(&mut self) -> Cycle {
+    fn seal_epoch(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
         // Epoch completion: all its updates done; monotonic so the
         // crash-recovery observer sees epochs complete in order.
         let mut completion = self
@@ -114,11 +111,10 @@ impl OooEngine {
         } else {
             Cycle::ZERO
         };
-        completion
+        Some(completion)
     }
 
-    /// When the engine's last scheduled work completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         let cur = self
             .cur_epoch_level_max
             .iter()
@@ -138,10 +134,14 @@ mod tests {
     use super::*;
     use crate::engine::testutil::CtxHarness;
 
+    fn seal(e: &mut OooEngine, h: &mut CtxHarness) -> Cycle {
+        e.seal_epoch(&mut h.ctx()).expect("o3 seals epochs")
+    }
+
     #[test]
     fn intra_epoch_updates_overlap() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let mut last = Cycle::ZERO;
         for i in 0..8 {
             last = last.max(e.persist(h.req(i * 64, 0), &mut h.ctx()));
@@ -154,9 +154,9 @@ mod tests {
     #[test]
     fn cross_epoch_levels_are_ordered() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let d1 = e.persist(h.req(0, 0), &mut h.ctx());
-        let c1 = e.seal_epoch();
+        let c1 = seal(&mut e, &mut h);
         assert_eq!(c1, d1);
         // Epoch 2's persist to a disjoint subtree still cannot touch
         // any level before epoch 1 finished that level.
@@ -169,11 +169,11 @@ mod tests {
     #[test]
     fn ett_capacity_limits_concurrent_epochs() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let mut completions = Vec::new();
         for epoch in 0..5 {
             let _ = e.persist(h.req(epoch * 8, 0), &mut h.ctx());
-            completions.push(e.seal_epoch());
+            completions.push(seal(&mut e, &mut h));
         }
         // With a 2-entry ETT, epoch k's work cannot begin before epoch
         // k-2 completed: completions strictly increase.
@@ -188,12 +188,12 @@ mod tests {
     #[test]
     fn epoch_completions_monotonic_even_when_empty() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let _ = e.persist(h.req(0, 0), &mut h.ctx());
-        let c1 = e.seal_epoch();
+        let c1 = seal(&mut e, &mut h);
         // An empty epoch still completes no earlier than its
         // predecessor.
-        let c2 = e.seal_epoch();
+        let c2 = seal(&mut e, &mut h);
         assert!(c2 >= c1);
         assert_eq!(e.drained_at(), c2);
     }
@@ -203,7 +203,7 @@ mod tests {
         // Fig. 4b: persist A misses in the BMT cache; persist B to a
         // different subtree is not delayed behind A's fetch.
         let mut h = CtxHarness::cold();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let a = e.persist(h.req(0, 0), &mut h.ctx());
         let b = e.persist(h.req(8, 0), &mut h.ctx());
         // B also misses (cold), but in an *in-order* pipeline B's leaf

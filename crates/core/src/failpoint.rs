@@ -36,7 +36,7 @@ pub enum Failpoint {
     /// atomic schemes instead tear the in-flight tuple frame here.
     MidTuple,
     /// Between consecutive integrity-tree node updates inside one
-    /// persist (fires at every `EngineCtx::note_update`).
+    /// persist (fires at every `EngineCtx::update_node`).
     BetweenLevels,
     /// Immediately before the engine is asked to seal the root for
     /// the current persist.

@@ -488,11 +488,7 @@ impl ShardedSetup {
         let config = self.setup.config();
         let map = ShardMap::new(shards);
         let cpi = 1.0 / self.setup.base_ipc();
-        let eff_mac = if config.ideal_metadata {
-            Cycle::ZERO
-        } else {
-            config.mac_latency
-        };
+        let eff_mac = config.effective_mac();
         let cross_shard = shards > 1;
         // Stream windows are strided to fit the topology's global
         // integrity coverage: M shards each carry a full per-shard BMT,

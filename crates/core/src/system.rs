@@ -384,14 +384,6 @@ impl Simulation {
         }
     }
 
-    fn effective_mac(&self) -> Cycle {
-        if self.config.ideal_metadata {
-            Cycle::ZERO
-        } else {
-            self.config.mac_latency
-        }
-    }
-
     fn is_persisting_store(&self, stack: bool) -> bool {
         match self.config.scope {
             ProtectionScope::Full => true,
@@ -403,18 +395,13 @@ impl Simulation {
     /// needs — the single point where any engine plugs into the persist
     /// path.
     fn with_engine<R>(&mut self, f: impl FnOnce(&mut dyn UpdateEngine, &mut EngineCtx<'_>) -> R) -> R {
-        let mac_latency = if self.config.ideal_metadata {
-            Cycle::ZERO
-        } else {
-            self.config.mac_latency
-        };
         let tap = match &self.sanitizer {
             Some(s) if s.wants_node_events() => Some(&mut self.node_tap),
             _ => None,
         };
         let mut ctx = EngineCtx {
             geometry: self.config.bmt,
-            mac_latency,
+            mac_latency: self.config.effective_mac(),
             meta: &mut self.meta,
             nvm: &mut self.nvm,
             stats: &mut self.engine_stats,
@@ -441,7 +428,7 @@ impl Simulation {
     /// `ordered` marks persists the crash-recovery observer may rely on
     /// (vs background eviction write-backs).
     fn persist_block(&mut self, addr: BlockAddr, now: Cycle, ordered: bool) -> (Cycle, Cycle) {
-        let eff_mac = self.effective_mac();
+        let eff_mac = self.config.effective_mac();
         let page = addr.page().index();
 
         // Step 1 of 2SP: allocate a WPQ entry (core stalls if full).
@@ -536,7 +523,7 @@ impl Simulation {
         // under the old major counter. The pipelined crypto units chew
         // through the page in roughly one extra MAC latency.
         if !reencrypt.is_empty() {
-            completion += self.effective_mac();
+            completion += self.config.effective_mac();
         }
         if !self.config.scheme.is_epoch_based() && self.config.scheme != UpdateScheme::Unordered {
             completion = completion.max(self.last_ordered_release);
@@ -618,7 +605,7 @@ impl Simulation {
             // the crash harness pins for this scheme.
             UpdateScheme::TriadNvm => {
                 let relaxed = u64::from(self.config.triad_floor().saturating_sub(1));
-                let lag = Cycle::new(self.effective_mac().get() * relaxed);
+                let lag = Cycle::new(self.config.effective_mac().get() * relaxed);
                 TupleTimes {
                     data: completion,
                     counter: completion,
