@@ -43,6 +43,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use plp_core::failpoint::PARK_MARKER;
+use plp_core::fastmap::FastMap;
 use plp_core::{
     replay_image, DurableSink, Failpoint, FailpointPlan, FailpointRegistry, FaultVerdict,
     ObserverExpectation, PersistRecord, RecoveryManager, SimSetup, SystemConfig, UpdateScheme,
@@ -340,8 +341,8 @@ fn cut_expectation(golden: &Golden, complete_ids: &BTreeSet<u64>) -> ObserverExp
 
 /// The golden program-order counter fold of the same cut — the
 /// "field-exact counters" half of a judgement.
-fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> HashMap<u64, CounterBlock> {
-    let mut counters = HashMap::new();
+fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> FastMap<u64, CounterBlock> {
+    let mut counters = FastMap::default();
     for r in golden
         .records
         .iter()

@@ -1,6 +1,6 @@
-//! Allocation-regression pin: the arena-backed persist hot path must
-//! be heap-allocation-free in steady state, so the PR-5 optimization
-//! can't silently rot back into per-persist `Vec`s.
+//! Allocation-regression pin: the arena-backed persist hot path and
+//! the durable image writer must be heap-allocation-free in steady
+//! state, so neither can silently rot back into per-persist `Vec`s.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -20,7 +20,7 @@ use plp_core::engine::{
 use plp_core::meta::MetadataCaches;
 use plp_crypto::{CounterBlock, SipKey};
 use plp_events::Cycle;
-use plp_nvm::{NvmConfig, NvmDevice};
+use plp_nvm::{ImageHeader, ImageWriter, NvmConfig, NvmDevice};
 
 /// `System`, with every allocation and reallocation counted.
 struct CountingAlloc;
@@ -198,4 +198,34 @@ fn steady_state_persist_path_is_allocation_free() {
     drive_co(&mut h, &mut co, WARM_ROUNDS);
     let n = count_allocs(|| drive_co(&mut h, &mut co, MEASURED_ROUNDS));
     assert_eq!(n, 0, "coalescing persist allocated {n} times in steady state");
+
+    // ---- Phase 3: the durable image writer. -----------------------
+    // Each append is one `write(2)` of a frame encoded in the writer's
+    // own buffer. Once that buffer has grown to the largest frame, the
+    // durable sink's appends must not touch the heap. The payloads are
+    // the sink's tuple, seal and data frame sizes.
+    let path = std::env::temp_dir().join(format!("plp-alloc-budget-{}.img", std::process::id()));
+    let header = ImageHeader {
+        arity: 8,
+        levels: 9,
+        seed: 7,
+        scheme: "sp".to_string(),
+    };
+    let mut writer = ImageWriter::create(&path, &header).expect("temp image");
+    let (tuple, seal, data) = ([0x5a_u8; 176], [0x11_u8; 16], [0x22_u8; 80]);
+    let append = |w: &mut ImageWriter, rounds: u64| {
+        for r in 0..rounds {
+            for payload in [&tuple[..], &seal, &data] {
+                w.append(r as u8, payload).expect("append");
+            }
+        }
+    };
+    append(&mut writer, WARM_ROUNDS);
+    let n = count_allocs(|| append(&mut writer, MEASURED_ROUNDS * PAGES));
+    assert_eq!(
+        n, 0,
+        "ImageWriter::append allocated {n} times in steady state"
+    );
+    drop(writer);
+    std::fs::remove_file(&path).expect("remove temp image");
 }

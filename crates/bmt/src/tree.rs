@@ -147,21 +147,32 @@ impl BonsaiTree {
     /// Creates the all-fresh tree (every page's counter block new).
     pub fn new(geometry: BmtGeometry, master_key: SipKey) -> Self {
         let key = master_key.derive("bmt");
-        let levels = geometry.levels_usize();
-        let mut defaults = vec![0; levels];
-        let fresh = CounterBlock::new();
-        defaults[levels - 1] = Self::leaf_value_with(key, &fresh);
-        for level in (1..levels).rev() {
-            let children = vec![defaults[level]; geometry.arity_usize()];
-            defaults[level - 1] = Self::internal_value_with(key, &children);
-        }
         BonsaiTree {
             geometry,
             key,
             store: NodeArena::new(geometry.node_count()),
-            defaults,
+            defaults: Self::level_defaults(geometry, key),
             child_scratch: vec![0; geometry.arity_usize()],
         }
+    }
+
+    /// The root of the all-fresh tree — `BonsaiTree::new(..).root()`
+    /// without allocating the node arena.
+    pub fn fresh_root(geometry: BmtGeometry, master_key: SipKey) -> NodeValue {
+        Self::level_defaults(geometry, master_key.derive("bmt"))[0]
+    }
+
+    /// Every level's node value when every page's counter block is
+    /// fresh (index `level - 1`).
+    fn level_defaults(geometry: BmtGeometry, key: SipKey) -> Vec<NodeValue> {
+        let levels = geometry.levels_usize();
+        let mut defaults = vec![0; levels];
+        defaults[levels - 1] = Self::leaf_value_with(key, &CounterBlock::new());
+        for level in (1..levels).rev() {
+            let children = vec![defaults[level]; geometry.arity_usize()];
+            defaults[level - 1] = Self::internal_value_with(key, &children);
+        }
+        defaults
     }
 
     /// Rebuilds a tree from a set of persisted counter blocks — the
@@ -395,6 +406,21 @@ mod tests {
         assert!(t.verify_consistent().is_ok());
         // Root of an all-default tree equals the level-1 default.
         assert_eq!(t.root(), t.node_value(NodeLabel::ROOT));
+    }
+
+    #[test]
+    fn fresh_root_matches_a_fresh_tree() {
+        for geometry in [
+            BmtGeometry::new(8, 4),
+            BmtGeometry::new(2, 3),
+            BmtGeometry::default(),
+        ] {
+            let key = SipKey::new(77, 88);
+            assert_eq!(
+                BonsaiTree::fresh_root(geometry, key),
+                BonsaiTree::new(geometry, key).root()
+            );
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use plp_nvm::image::{read_image, ImageHeader, ImageWriter};
 use plp_nvm::NvmError;
 
 use crate::failpoint::{Failpoint, FailpointRegistry};
+use crate::fastmap::FastMap;
 use crate::recovery::PersistImage;
 use crate::SystemConfig;
 
@@ -80,6 +81,33 @@ pub const TAG_ROOT_COMMIT: u8 = 12;
 pub const TAG_TRIAD: u8 = 13;
 
 const COUNTERS_BYTES: usize = 8 + BLOCKS_PER_PAGE;
+/// `TAG_TUPLE` payload: id, addr, page, root, MAC, cipher, counters.
+const TUPLE_BYTES: usize = 40 + 64 + COUNTERS_BYTES;
+/// `TAG_TRIAD` payload: id, addr, page, cipher, counters.
+const TRIAD_BYTES: usize = 24 + 64 + COUNTERS_BYTES;
+/// `TAG_DATA` payload: id, addr, cipher.
+const DATA_BYTES: usize = 16 + 64;
+/// `TAG_COUNTER` payload: id, page, counters.
+const COUNTER_BYTES: usize = 16 + COUNTERS_BYTES;
+/// `TAG_OVERFLOW` payload: id, addr, MAC, cipher.
+const OVERFLOW_BYTES: usize = 24 + 64;
+/// `TAG_REC_BLOCK` payload: addr, MAC, cipher.
+const REC_BLOCK_BYTES: usize = 16 + 64;
+/// `TAG_REC_COUNTER` payload: page, counters.
+const REC_COUNTER_BYTES: usize = 8 + COUNTERS_BYTES;
+
+/// Concatenates `parts` into a fixed-size frame payload on the stack,
+/// so building a frame allocates nothing.
+fn pack<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "payload parts must fill the payload exactly");
+    out
+}
 
 /// Why an image replay failed (beyond the file-level [`NvmError`]s).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,16 +169,16 @@ pub(crate) struct TupleFrame<'a> {
 }
 
 impl TupleFrame<'_> {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(40 + 64 + COUNTERS_BYTES);
-        p.extend_from_slice(&self.id.to_le_bytes());
-        p.extend_from_slice(&self.addr.index().to_le_bytes());
-        p.extend_from_slice(&self.page.to_le_bytes());
-        p.extend_from_slice(&self.root.to_le_bytes());
-        p.extend_from_slice(&self.mac.raw().to_le_bytes());
-        p.extend_from_slice(self.cipher.as_bytes());
-        p.extend_from_slice(&self.counters.to_bytes());
-        p
+    fn payload(&self) -> [u8; TUPLE_BYTES] {
+        pack(&[
+            &self.id.to_le_bytes(),
+            &self.addr.index().to_le_bytes(),
+            &self.page.to_le_bytes(),
+            &self.root.to_le_bytes(),
+            &self.mac.raw().to_le_bytes(),
+            self.cipher.as_bytes(),
+            &self.counters.to_bytes(),
+        ])
     }
 }
 
@@ -170,18 +198,23 @@ pub(crate) struct TriadFrame<'a> {
 }
 
 impl TriadFrame<'_> {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(24 + 64 + COUNTERS_BYTES);
-        p.extend_from_slice(&self.id.to_le_bytes());
-        p.extend_from_slice(&self.addr.index().to_le_bytes());
-        p.extend_from_slice(&self.page.to_le_bytes());
-        p.extend_from_slice(self.cipher.as_bytes());
-        p.extend_from_slice(&self.counters.to_bytes());
-        p
+    fn payload(&self) -> [u8; TRIAD_BYTES] {
+        pack(&[
+            &self.id.to_le_bytes(),
+            &self.addr.index().to_le_bytes(),
+            &self.page.to_le_bytes(),
+            self.cipher.as_bytes(),
+            &self.counters.to_bytes(),
+        ])
     }
 }
 
 /// Write-through mirror of the persist stream into a device image.
+///
+/// Each frame is one `write(2)` when it is appended — the crash model:
+/// a frame is in the page cache once its append returns. Payloads are
+/// built on the stack and framed in the writer's reusable buffer, so
+/// appending allocates nothing.
 ///
 /// I/O errors never panic and never disturb the simulation: the first
 /// error poisons the sink (subsequent appends become no-ops) and is
@@ -272,55 +305,52 @@ impl DurableSink {
 
     /// Appends the ciphertext component alone (`unordered`).
     pub(crate) fn data(&mut self, id: u64, addr: BlockAddr, cipher: &DataBlock) {
-        let mut p = Vec::with_capacity(16 + 64);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(cipher.as_bytes());
+        let p: [u8; DATA_BYTES] = pack(&[
+            &id.to_le_bytes(),
+            &addr.index().to_le_bytes(),
+            cipher.as_bytes(),
+        ]);
         self.push(TAG_DATA, &p);
     }
 
     /// Appends the counter-block component alone (`unordered`).
     pub(crate) fn counter(&mut self, id: u64, page: u64, counters: &CounterBlock) {
-        let mut p = Vec::with_capacity(16 + COUNTERS_BYTES);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&page.to_le_bytes());
-        p.extend_from_slice(&counters.to_bytes());
+        let p: [u8; COUNTER_BYTES] =
+            pack(&[&id.to_le_bytes(), &page.to_le_bytes(), &counters.to_bytes()]);
         self.push(TAG_COUNTER, &p);
     }
 
     /// Appends the MAC component alone (`unordered`).
     pub(crate) fn mac_tag(&mut self, id: u64, addr: BlockAddr, mac: MacTag) {
-        let mut p = Vec::with_capacity(24);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&mac.raw().to_le_bytes());
+        let p: [u8; 24] = pack(&[
+            &id.to_le_bytes(),
+            &addr.index().to_le_bytes(),
+            &mac.raw().to_le_bytes(),
+        ]);
         self.push(TAG_MAC, &p);
     }
 
     /// Appends the root component alone (`unordered`).
     pub(crate) fn root(&mut self, id: u64, root: NodeValue) {
-        let mut p = Vec::with_capacity(16);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&root.to_le_bytes());
+        let p: [u8; 16] = pack(&[&id.to_le_bytes(), &root.to_le_bytes()]);
         self.push(TAG_ROOT, &p);
     }
 
     /// Appends an epoch seal.
     pub(crate) fn seal(&mut self, epoch: u64, root: NodeValue) {
-        let mut p = Vec::with_capacity(16);
-        p.extend_from_slice(&epoch.to_le_bytes());
-        p.extend_from_slice(&root.to_le_bytes());
+        let p: [u8; 16] = pack(&[&epoch.to_le_bytes(), &root.to_le_bytes()]);
         self.push(TAG_SEAL, &p);
     }
 
     /// Appends one page-overflow re-encryption (atomic with the
     /// carrier tuple that overflowed the page's major counter).
     pub(crate) fn overflow(&mut self, id: u64, addr: BlockAddr, cipher: &DataBlock, mac: MacTag) {
-        let mut p = Vec::with_capacity(24 + 64);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&mac.raw().to_le_bytes());
-        p.extend_from_slice(cipher.as_bytes());
+        let p: [u8; OVERFLOW_BYTES] = pack(&[
+            &id.to_le_bytes(),
+            &addr.index().to_le_bytes(),
+            &mac.raw().to_le_bytes(),
+            cipher.as_bytes(),
+        ]);
         self.push(TAG_OVERFLOW, &p);
     }
 }
@@ -389,22 +419,24 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
     // the same convention as `PersistImage::fresh`.
     let mut image = PersistImage::fresh(geometry, key);
 
-    let mut complete_ids: BTreeSet<u64> = BTreeSet::new();
+    // Ids and addresses are gathered in append order and sorted into
+    // their sets once at the end.
+    let mut complete_ids: Vec<u64> = Vec::new();
     // Component bitmask per id: data=1, counter=2, mac=4, root=8.
-    let mut components: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+    let mut components: FastMap<u64, u8> = FastMap::default();
     let mut seals = 0u64;
     let mut recovered = false;
-    let mut quarantined: BTreeSet<BlockAddr> = BTreeSet::new();
+    let mut quarantined: Vec<BlockAddr> = Vec::new();
 
-    for rec in &contents.records {
-        let p = rec.payload.as_slice();
+    for rec in contents.records() {
+        let p = rec.payload;
         let bad = || ReplayError::BadFrame {
             tag: rec.tag,
             len: p.len(),
         };
         match rec.tag {
             TAG_TUPLE => {
-                if p.len() != 40 + 64 + COUNTERS_BYTES {
+                if p.len() != TUPLE_BYTES {
                     return Err(bad());
                 }
                 let id = le_u64(p, 0);
@@ -414,10 +446,10 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 image.macs.insert(addr, MacTag::from_raw(le_u64(p, 32)));
                 image.data.insert(addr, le_cipher(p, 40));
                 image.counters.insert(page, le_counters(p, 104)?);
-                complete_ids.insert(id);
+                complete_ids.push(id);
             }
             TAG_TRIAD => {
-                if p.len() != 24 + 64 + COUNTERS_BYTES {
+                if p.len() != TRIAD_BYTES {
                     return Err(bad());
                 }
                 let id = le_u64(p, 0);
@@ -428,7 +460,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 *components.entry(id).or_insert(0) |= 3;
             }
             TAG_DATA => {
-                if p.len() != 16 + 64 {
+                if p.len() != DATA_BYTES {
                     return Err(bad());
                 }
                 let id = le_u64(p, 0);
@@ -436,7 +468,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 *components.entry(id).or_insert(0) |= 1;
             }
             TAG_COUNTER => {
-                if p.len() != 16 + COUNTERS_BYTES {
+                if p.len() != COUNTER_BYTES {
                     return Err(bad());
                 }
                 let id = le_u64(p, 0);
@@ -469,17 +501,17 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 seals += 1;
             }
             TAG_OVERFLOW => {
-                if p.len() != 24 + 64 {
+                if p.len() != OVERFLOW_BYTES {
                     return Err(bad());
                 }
                 let id = le_u64(p, 0);
                 let addr = BlockAddr::new(le_u64(p, 8));
                 image.macs.insert(addr, MacTag::from_raw(le_u64(p, 16)));
                 image.data.insert(addr, le_cipher(p, 24));
-                complete_ids.insert(id);
+                complete_ids.push(id);
             }
             TAG_REC_BLOCK => {
-                if p.len() != 16 + 64 {
+                if p.len() != REC_BLOCK_BYTES {
                     return Err(bad());
                 }
                 let addr = BlockAddr::new(le_u64(p, 0));
@@ -487,7 +519,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 image.data.insert(addr, le_cipher(p, 16));
             }
             TAG_REC_COUNTER => {
-                if p.len() != 8 + COUNTERS_BYTES {
+                if p.len() != REC_COUNTER_BYTES {
                     return Err(bad());
                 }
                 image.counters.insert(le_u64(p, 0), le_counters(p, 8)?);
@@ -497,7 +529,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                     return Err(bad());
                 }
                 for off in (0..p.len()).step_by(8) {
-                    complete_ids.insert(le_u64(p, off));
+                    complete_ids.push(le_u64(p, off));
                 }
             }
             TAG_REC_QUARANTINE => {
@@ -505,7 +537,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                     return Err(bad());
                 }
                 for off in (0..p.len()).step_by(8) {
-                    quarantined.insert(BlockAddr::new(le_u64(p, off)));
+                    quarantined.push(BlockAddr::new(le_u64(p, off)));
                 }
             }
             TAG_ROOT_COMMIT => {
@@ -524,24 +556,24 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
             }
         }
     }
-    let mut partial_ids = BTreeSet::new();
+    let mut partial_ids = Vec::new();
     for (id, mask) in components {
         if mask == 0b1111 {
-            complete_ids.insert(id);
+            complete_ids.push(id);
         } else {
-            partial_ids.insert(id);
+            partial_ids.push(id);
         }
     }
     Ok(ReplayedImage {
         header,
         image,
-        complete_ids,
-        partial_ids,
+        complete_ids: BTreeSet::from_iter(complete_ids),
+        partial_ids: BTreeSet::from_iter(partial_ids),
         seals,
-        frames: contents.records.len(),
+        frames: contents.frames,
         torn_tail_bytes: contents.torn_tail_bytes,
         recovered,
-        quarantined,
+        quarantined: BTreeSet::from_iter(quarantined),
     })
 }
 
@@ -575,17 +607,19 @@ pub fn recovery_scratch_path(image: &Path) -> std::path::PathBuf {
 /// Durable, crash-consistent recovery of the image at `path`.
 ///
 /// Replays the image, runs `RecoveryManager::recover`, then makes the
-/// repair itself durable: the canonical recovered image is written
-/// frame-by-frame to a scratch file through the same write-through
-/// medium the persist path uses, and committed over the original with
-/// one atomic rename. A SIGKILL at any instant leaves either the
-/// original image intact (commit not reached) or the fully recovered
-/// one (commit done) — never a half-repaired image — so recovery is
-/// idempotent and monotone under nested crashes.
+/// repair itself durable: the scratch file `<image>.rec` is created
+/// with the image header, the canonical recovered image's frames are
+/// composed in memory and written to it with one `write_all`, and the
+/// scratch is committed over the original with one atomic rename. A
+/// SIGKILL at any instant leaves either the original image intact
+/// (commit not reached) or the fully recovered one (commit done) —
+/// never a half-repaired image — so recovery is idempotent and
+/// monotone under nested crashes.
 ///
 /// The four recovery failpoints fire in order: `pre-repair` before
 /// anything is decided, `mid-repair-writeback` before each scratch
-/// frame, `pre-root-commit` after the scratch is complete, and
+/// frame is composed (a kill there leaves a header-only scratch),
+/// `pre-root-commit` after the scratch is written, and
 /// `post-root-commit` after the rename.
 ///
 /// An image that is already canonical-recovered and agrees with the
@@ -621,53 +655,57 @@ pub fn recover_image(
     let scratch = recovery_scratch_path(path);
     let mut writer = ImageWriter::create(&scratch, &replayed.header)?;
 
-    // Counter blocks first (they are what the adopted root is rebuilt
-    // from), then surviving blocks, then the bookkeeping frames. All
-    // iteration is sorted so the canonical image is deterministic.
-    let mut pages: Vec<u64> = replayed.image.counters.keys().copied().collect();
-    pages.sort_unstable();
-    for page in pages {
+    // The canonical image is composed in the writer's buffer and
+    // written with one `write_all` before the rename. Counter blocks
+    // first (they are what the adopted root is rebuilt from), then
+    // surviving blocks, then the bookkeeping frames. All iteration is
+    // sorted so the canonical image is deterministic.
+    let image = &replayed.image;
+    let mut pages: Vec<(u64, &CounterBlock)> =
+        image.counters.iter().map(|(page, c)| (*page, c)).collect();
+    pages.sort_unstable_by_key(|(page, _)| *page);
+    for (page, counters) in pages {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let counters = &replayed.image.counters[&page];
-        let mut p = Vec::with_capacity(8 + COUNTERS_BYTES);
-        p.extend_from_slice(&page.to_le_bytes());
-        p.extend_from_slice(&counters.to_bytes());
-        writer.append(TAG_REC_COUNTER, &p)?;
+        let p: [u8; REC_COUNTER_BYTES] = pack(&[&page.to_le_bytes(), &counters.to_bytes()]);
+        writer.stage(TAG_REC_COUNTER, &p);
     }
-    let mut addrs: Vec<BlockAddr> = replayed
-        .image
+    let mut blocks: Vec<(BlockAddr, MacTag, &DataBlock)> = image
         .data
-        .keys()
-        .filter(|a| replayed.image.macs.contains_key(a) && !quarantine_now.contains(a))
-        .copied()
+        .iter()
+        .filter(|(addr, _)| !quarantine_now.contains(addr))
+        .filter_map(|(addr, cipher)| image.macs.get(addr).map(|mac| (*addr, *mac, cipher)))
         .collect();
-    addrs.sort();
-    for addr in addrs {
+    blocks.sort_unstable_by_key(|(addr, _, _)| *addr);
+    for (addr, mac, cipher) in blocks {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let mut p = Vec::with_capacity(16 + 64);
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&replayed.image.macs[&addr].raw().to_le_bytes());
-        p.extend_from_slice(replayed.image.data[&addr].as_bytes());
-        writer.append(TAG_REC_BLOCK, &p)?;
+        let p: [u8; REC_BLOCK_BYTES] = pack(&[
+            &addr.index().to_le_bytes(),
+            &mac.raw().to_le_bytes(),
+            cipher.as_bytes(),
+        ]);
+        writer.stage(TAG_REC_BLOCK, &p);
     }
     fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-    let mut ids = Vec::with_capacity(replayed.complete_ids.len() * 8);
-    for id in &replayed.complete_ids {
-        ids.extend_from_slice(&id.to_le_bytes());
-    }
-    writer.append(TAG_REC_IDS, &ids)?;
+    let ids: Vec<u8> = replayed
+        .complete_ids
+        .iter()
+        .flat_map(|id| id.to_le_bytes())
+        .collect();
+    writer.stage(TAG_REC_IDS, &ids);
     if !quarantine_now.is_empty() {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let mut q = Vec::with_capacity(quarantine_now.len() * 8);
-        for addr in &quarantine_now {
-            q.extend_from_slice(&addr.index().to_le_bytes());
-        }
-        writer.append(TAG_REC_QUARANTINE, &q)?;
+        let q: Vec<u8> = quarantine_now
+            .iter()
+            .flat_map(|addr| addr.index().to_le_bytes())
+            .collect();
+        writer.stage(TAG_REC_QUARANTINE, &q);
     }
-    let mut commit = Vec::with_capacity(16);
-    commit.extend_from_slice(&outcome.adopted_root.to_le_bytes());
-    commit.extend_from_slice(&replayed.seals.to_le_bytes());
-    writer.append(TAG_ROOT_COMMIT, &commit)?;
+    let commit: [u8; 16] = pack(&[
+        &outcome.adopted_root.to_le_bytes(),
+        &replayed.seals.to_le_bytes(),
+    ]);
+    writer.stage(TAG_ROOT_COMMIT, &commit);
+    writer.write_staged()?;
     drop(writer);
 
     fp_hit(&mut reg, Failpoint::RecoveryPreRootCommit);
@@ -1031,6 +1069,60 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The sink's bytes and recovery's canonical bytes, pinned: the
+    /// FNV-1a digest of the uncut image sp, o3 and triad_nvm write for
+    /// 20k instructions of gcc at seed 7, and of the canonical image
+    /// `recover_image` commits for that image cut halfway through its
+    /// frames. A change to the format, the frame order or the commit
+    /// bytes moves a digest.
+    #[test]
+    fn sink_and_recovered_image_bytes_are_pinned() {
+        use plp_nvm::image::{fnv1a, IMAGE_HEADER_BYTES};
+        let pins = [
+            (
+                UpdateScheme::Sp,
+                0x4e19_0e0a_0d88_e073,
+                0xe487_816f_7857_1522,
+            ),
+            (
+                UpdateScheme::O3,
+                0xa73b_d70c_b80b_81a7,
+                0x5ea1_ef7a_6ae5_6507,
+            ),
+            (
+                UpdateScheme::TriadNvm,
+                0xa465_a3d2_f059_56f4,
+                0x043a_3858_9144_c888,
+            ),
+        ];
+        for (scheme, sink_pin, recovered_pin) in pins {
+            let setup = setup_for(scheme);
+            let trace = setup.generate_trace(20_000);
+            let path = temp_image(&format!("pin-{}", scheme.name()));
+            let mut sim = setup.simulation();
+            sim.attach_durable_sink(DurableSink::create(&path, setup.config(), 7).unwrap());
+            let (report, _) = sim.run_with_state(&trace);
+            let bytes = std::fs::read(&path).unwrap();
+            let cut = IMAGE_HEADER_BYTES + (bytes.len() - IMAGE_HEADER_BYTES) / 2;
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+
+            let key = setup.config().key;
+            let complete = replay_image(&path, key).unwrap().complete_ids;
+            let expected = expectation_for(&report.records, &complete);
+            let manager = crate::RecoveryManager::for_config(setup.config());
+            let wb = recover_image(&path, key, &manager, &report.records, &expected, None).unwrap();
+            assert!(wb.rewritten);
+            let recovered = std::fs::read(&path).unwrap();
+            assert_eq!(
+                (fnv1a(&bytes), fnv1a(&recovered)),
+                (sink_pin, recovered_pin),
+                "{} image bytes moved",
+                scheme.name()
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     /// Replay rejects malformed frames with typed errors, never a
     /// panic.
     #[test]
@@ -1044,8 +1136,8 @@ mod tests {
         {
             let contents = plp_nvm::read_image(&path).unwrap();
             let mut w = ImageWriter::create(&path, &contents.header).unwrap();
-            for r in &contents.records {
-                w.append(r.tag, &r.payload).unwrap();
+            for r in contents.records() {
+                w.append(r.tag, r.payload).unwrap();
             }
             w.append(99, &[1, 2, 3]).unwrap();
         }

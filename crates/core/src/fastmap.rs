@@ -9,13 +9,17 @@
 //! mixes them adequately. These maps are never iterated for
 //! user-visible output, so the hasher swap cannot perturb the
 //! simulator's byte-deterministic stdout.
+//!
+//! Public because [`PersistImage`](crate::PersistImage) keeps its
+//! durable state in these maps: callers comparing against or building
+//! an image name the type.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 /// One Fibonacci multiply per written word.
 #[derive(Debug, Default)]
-pub(crate) struct FibHasher(u64);
+pub struct FibHasher(u64);
 
 impl std::hash::Hasher for FibHasher {
     fn finish(&self) -> u64 {
@@ -34,7 +38,7 @@ impl std::hash::Hasher for FibHasher {
 }
 
 /// A `HashMap` keyed by well-mixed integers, hashed with one multiply.
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FibHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FibHasher>>;
 
 #[cfg(test)]
 mod tests {

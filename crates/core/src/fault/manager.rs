@@ -300,8 +300,10 @@ impl RecoveryManager {
         // Step 3: per-block triage. A verified MAC proves the
         // (ciphertext, address, counter) triple is one the engine
         // produced; the plaintext history then separates "the version
-        // we wanted" from "an older authentic version".
-        let history = plaintext_history(records);
+        // we wanted" from "an older authentic version". The history is
+        // built only when a verified block first needs it; a clean
+        // recovery never does.
+        let mut history = None;
         let mut addrs: Vec<BlockAddr> = expected.plaintexts.keys().copied().collect();
         addrs.sort();
         let mut fates = Vec::with_capacity(addrs.len());
@@ -322,6 +324,7 @@ impl RecoveryManager {
                 if plain == expected_plain {
                     BlockFate::Salvaged
                 } else if history
+                    .get_or_insert_with(|| plaintext_history(records))
                     .get(&addr)
                     .is_some_and(|versions| versions.contains(&plain))
                 {
@@ -602,6 +605,56 @@ mod tests {
         assert_eq!(outcome.root, RootStatus::Intact, "old state is consistent");
         assert_eq!(outcome.verdict(), FaultVerdict::StaleRollback, "{outcome}");
         assert_eq!(outcome.count(BlockFate::StaleAuthentic), 1);
+    }
+
+    /// One recovery whose blocks meet all four fates. The plaintext
+    /// history is built lazily, on the first verified block that does
+    /// not decrypt to its expected plaintext; this pins every branch
+    /// around it.
+    #[test]
+    fn one_recovery_meets_every_block_fate() {
+        // Persists 0..6 write blocks 0, 64 and 128 twice each.
+        let records = make_records(6);
+        let t = Cycle::new(1_000_000);
+        // Block 64 rolls back: its second persist (id 4) never landed,
+        // so its older authentic version comes back.
+        let thinned: Vec<PersistRecord> = records
+            .iter()
+            .filter(|r| r.id != PersistId(4))
+            .cloned()
+            .collect();
+        let mut image = PersistImage::at_time(&thinned, t, geometry(), key());
+        let mut expected = ObserverExpectation::at_time(&records, t);
+        // Block 128's ciphertext is junk, so its MAC fails.
+        image
+            .data
+            .insert(BlockAddr::new(128), DataBlock::from_u64(0xBAD_F00D));
+        // Block 192 holds a block the program never wrote, MAC-valid
+        // under the chip key and decrypting outside the history.
+        let forged = BlockAddr::new(192);
+        let counter = CounterBlock::default().value_for(forged);
+        let cipher = CtrEngine::new(key()).encrypt(DataBlock::from_u64(0xF0F0), forged, counter);
+        image.data.insert(forged, cipher);
+        image.macs.insert(
+            forged,
+            MacEngine::new(key()).compute(&cipher, forged, counter),
+        );
+        expected
+            .plaintexts
+            .insert(forged, DataBlock::from_u64(0x0F0F));
+
+        let outcome = manager().recover(&image, &records, &expected);
+        assert_eq!(
+            outcome.fates,
+            vec![
+                (BlockAddr::new(0), BlockFate::Salvaged),
+                (BlockAddr::new(64), BlockFate::StaleAuthentic),
+                (BlockAddr::new(128), BlockFate::Quarantined),
+                (forged, BlockFate::SilentGarbage),
+            ]
+        );
+        assert_eq!(outcome.root, RootStatus::Intact);
+        assert_eq!(outcome.verdict(), FaultVerdict::UndetectedCorruption);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod engine;
 mod error;
 pub mod failpoint;
 pub mod fault;
-mod fastmap;
+pub mod fastmap;
 pub mod meta;
 mod recovery;
 mod report;

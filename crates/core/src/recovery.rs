@@ -9,6 +9,7 @@ use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
 use serde::{Deserialize, Serialize};
 
+use crate::fastmap::FastMap;
 use crate::{PersistRecord, TupleTimes};
 
 /// The durable state a crash leaves behind: NVMM contents plus the
@@ -16,11 +17,11 @@ use crate::{PersistRecord, TupleTimes};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistImage {
     /// Ciphertexts by block address.
-    pub data: HashMap<BlockAddr, DataBlock>,
+    pub data: FastMap<BlockAddr, DataBlock>,
     /// MAC tags by block address.
-    pub macs: HashMap<BlockAddr, MacTag>,
+    pub macs: FastMap<BlockAddr, MacTag>,
     /// Split-counter blocks by page index.
-    pub counters: HashMap<u64, CounterBlock>,
+    pub counters: FastMap<u64, CounterBlock>,
     /// The persisted BMT root register.
     pub root: NodeValue,
 }
@@ -30,10 +31,10 @@ impl PersistImage {
     /// tree).
     pub fn fresh(geometry: BmtGeometry, key: SipKey) -> Self {
         PersistImage {
-            data: HashMap::new(),
-            macs: HashMap::new(),
-            counters: HashMap::new(),
-            root: BonsaiTree::new(geometry, key).root(),
+            data: FastMap::default(),
+            macs: FastMap::default(),
+            counters: FastMap::default(),
+            root: BonsaiTree::fresh_root(geometry, key),
         }
     }
 

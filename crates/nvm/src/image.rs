@@ -44,7 +44,7 @@
 //! as a typed [`NvmError`], never a panic.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::NvmError;
@@ -64,10 +64,34 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// FNV-1a 64 over `bytes` — the same hash the bench cache keys use, so
 /// image checksums stay dependency-free and deterministic.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    bytes.iter().fold(FNV_BASIS, |h, &b| fnv_step(h, b))
+}
+
+fn fnv_step(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a 64 over four inputs at once: exactly
+/// `[fnv1a(a), fnv1a(b), fnv1a(c), fnv1a(d)]`.
+///
+/// One FNV-1a stream is a chain of dependent multiplies, so it runs at
+/// the multiplier's latency. Four independent chains stepped in one
+/// loop keep the multiplier busy instead. The lanes run together over
+/// the shortest input; each then finishes its own tail alone.
+pub fn fnv1a_x4(parts: [&[u8]; 4]) -> [u64; 4] {
+    let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
+    let [a, b, c, d] = parts.map(|p| &p[..common]);
+    let mut h = [FNV_BASIS; 4];
+    for (((&x, &y), &z), &w) in a.iter().zip(b).zip(c).zip(d) {
+        h = [
+            fnv_step(h[0], x),
+            fnv_step(h[1], y),
+            fnv_step(h[2], z),
+            fnv_step(h[3], w),
+        ];
+    }
+    for (h, part) in h.iter_mut().zip(parts) {
+        *h = part[common..].iter().fold(*h, |h, &b| fnv_step(h, b));
     }
     h
 }
@@ -153,6 +177,10 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
+/// Bytes a frame adds around its payload: tag (1), length (4) and
+/// checksum (8).
+const FRAME_OVERHEAD: usize = 13;
+
 /// Encodes one complete frame: `[tag][len u32][payload][fnv u64]`.
 ///
 /// Public because the frame format doubles as the supervisor's IPC
@@ -160,13 +188,44 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
 /// pipe as exactly one of these frames, so corruption detection on
 /// the wire reuses the medium's checksum discipline.
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(13 + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = fnv1a(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    encode_frame_into(&mut frame, tag, payload);
     frame
+}
+
+/// Appends one complete frame to `out` — [`encode_frame`] without the
+/// allocation, for writers that reuse one buffer.
+fn encode_frame_into(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = fnv1a(&out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Length of the frame at the front of `bytes`, from its length field
+/// alone, or `None` when that frame cannot fit in `bytes`.
+fn frame_extent(bytes: &[u8]) -> Option<usize> {
+    if bytes.len() < FRAME_OVERHEAD {
+        return None;
+    }
+    let end = FRAME_OVERHEAD.checked_add(read_u32(bytes, 1) as usize)?;
+    (end <= bytes.len()).then_some(end)
+}
+
+/// A whole frame split into the bytes its checksum covers (tag, length
+/// and payload) and the checksum it carries.
+fn frame_sum(frame: &[u8]) -> (&[u8], u64) {
+    let body = frame.len() - 8;
+    (&frame[..body], read_u64(frame, body))
+}
+
+/// Whether a whole frame passes its checksum — the per-frame check of
+/// both [`decode_frame`] and [`read_image`].
+fn frame_intact(frame: &[u8]) -> bool {
+    let (body, sum) = frame_sum(frame);
+    fnv1a(body) == sum
 }
 
 /// Decodes one frame from the front of `bytes`.
@@ -176,19 +235,8 @@ pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
 /// same acceptance rule [`read_image`] applies per frame, exposed for
 /// pipe readers that receive frames outside an image file.
 pub fn decode_frame(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
-    if bytes.len() < 13 {
-        return None;
-    }
-    let len = read_u32(bytes, 1) as usize;
-    let end = 13usize.checked_add(len)?;
-    if bytes.len() < end {
-        return None;
-    }
-    let body = &bytes[..5 + len];
-    if read_u64(bytes, 5 + len) != fnv1a(body) {
-        return None;
-    }
-    Some((bytes[0], &bytes[5..5 + len], end))
+    let end = frame_extent(bytes)?;
+    frame_intact(&bytes[..end]).then(|| (bytes[0], &bytes[5..end - 8], end))
 }
 
 /// Write-through appender for a device image.
@@ -196,11 +244,20 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
 /// Every append is a single `write_all` straight to the file — no
 /// userspace buffering, so a SIGKILL between appends loses nothing and
 /// a SIGKILL *during* an append tears at most the final frame, which
-/// readers discard.
+/// readers discard. Frames are encoded into one buffer the writer
+/// keeps, so once that buffer has grown to the largest frame an append
+/// allocates nothing.
+///
+/// A caller that wants several frames in one write (recovery's scratch
+/// image) [`stage`](ImageWriter::stage)s them and then
+/// [`write_staged`](ImageWriter::write_staged)s the batch.
 #[derive(Debug)]
 pub struct ImageWriter {
     file: File,
     path: PathBuf,
+    /// Encoded frames not yet written; empty between calls except
+    /// while a caller is staging.
+    staged: Vec<u8>,
 }
 
 impl ImageWriter {
@@ -212,14 +269,31 @@ impl ImageWriter {
         Ok(ImageWriter {
             file,
             path: path.to_path_buf(),
+            staged: Vec::new(),
         })
     }
 
-    /// Appends one complete frame.
+    /// Appends one complete frame (after any staged ones) in one
+    /// `write_all`.
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> Result<(), NvmError> {
-        self.file
-            .write_all(&encode_frame(tag, payload))
-            .map_err(|_| NvmError::ImageIo { op: "write" })
+        self.stage(tag, payload);
+        self.write_staged()
+    }
+
+    /// Encodes one frame into the writer's buffer without writing it.
+    pub fn stage(&mut self, tag: u8, payload: &[u8]) {
+        encode_frame_into(&mut self.staged, tag, payload);
+    }
+
+    /// Writes every staged frame in one `write_all` and empties the
+    /// buffer (keeping its capacity).
+    pub fn write_staged(&mut self) -> Result<(), NvmError> {
+        let written = self
+            .file
+            .write_all(&self.staged)
+            .map_err(|_| NvmError::ImageIo { op: "write" });
+        self.staged.clear();
+        written
     }
 
     /// Appends only the first `keep` bytes of the frame — the
@@ -228,11 +302,11 @@ impl ImageWriter {
     /// process death leaves the image exactly as if the frame were
     /// never attempted.
     pub fn append_torn(&mut self, tag: u8, payload: &[u8], keep: usize) -> Result<(), NvmError> {
-        let frame = encode_frame(tag, payload);
-        let keep = keep.min(frame.len().saturating_sub(1));
-        self.file
-            .write_all(&frame[..keep])
-            .map_err(|_| NvmError::ImageIo { op: "write" })
+        let start = self.staged.len();
+        self.stage(tag, payload);
+        let keep = keep.min(self.staged.len() - start - 1);
+        self.staged.truncate(start + keep);
+        self.write_staged()
     }
 
     /// Flushes file contents to stable storage (`fdatasync`). Not
@@ -250,25 +324,60 @@ impl ImageWriter {
     }
 }
 
-/// One intact frame recovered from an image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImageRecord {
+/// One intact frame recovered from an image, borrowed from the file
+/// buffer its [`ImageContents`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageRecord<'a> {
     /// Frame tag (meaning assigned by the producer).
     pub tag: u8,
     /// Frame payload.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Everything a reader recovers from an image file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ImageContents {
     /// Validated header.
     pub header: ImageHeader,
-    /// All intact frames, in append order.
-    pub records: Vec<ImageRecord>,
+    /// Number of intact frames.
+    pub frames: usize,
     /// Bytes discarded from the first bad frame onward (0 for a
     /// cleanly closed image). Nonzero means the writer died mid-frame.
     pub torn_tail_bytes: u64,
+    /// The whole file.
+    bytes: Vec<u8>,
+    /// End of the last intact frame.
+    intact_end: usize,
+}
+
+impl ImageContents {
+    /// All intact frames, in append order, as slices of the file
+    /// buffer.
+    pub fn records(&self) -> impl Iterator<Item = ImageRecord<'_>> + '_ {
+        let mut rest = &self.bytes[IMAGE_HEADER_BYTES..self.intact_end];
+        std::iter::from_fn(move || {
+            let end = frame_extent(rest)?;
+            let (frame, tail) = rest.split_at(end);
+            rest = tail;
+            Some(ImageRecord {
+                tag: frame[0],
+                payload: &frame[5..end - 8],
+            })
+        })
+    }
+}
+
+impl std::fmt::Debug for ImageContents {
+    /// Compact: an image of several megabytes must not dump into
+    /// assertion messages.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ImageContents")
+            .field("header", &self.header)
+            .field("frames", &self.frames)
+            .field("torn_tail_bytes", &self.torn_tail_bytes)
+            .field("file_bytes", &self.bytes.len())
+            .finish()
+    }
 }
 
 /// Reads and validates an image file.
@@ -278,11 +387,14 @@ pub struct ImageContents {
 /// interrupted, so they are counted into
 /// [`ImageContents::torn_tail_bytes`] and dropped — tuple atomicity at
 /// the medium level.
+///
+/// The reader walks the frame boundaries from the length fields alone
+/// and checks the checksums of each four consecutive frames in one
+/// four-lane pass ([`fnv1a_x4`]); the frames of a last, shorter group
+/// are checked one by one. The verdict per frame is exactly
+/// [`decode_frame`]'s.
 pub fn read_image(path: &Path) -> Result<ImageContents, NvmError> {
-    let mut file = File::open(path).map_err(|_| NvmError::ImageIo { op: "read" })?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|_| NvmError::ImageIo { op: "read" })?;
+    let bytes = std::fs::read(path).map_err(|_| NvmError::ImageIo { op: "read" })?;
     if bytes.len() < IMAGE_HEADER_BYTES {
         return Err(NvmError::ImageHeaderTruncated {
             len: bytes.len() as u64,
@@ -291,38 +403,62 @@ pub fn read_image(path: &Path) -> Result<ImageContents, NvmError> {
     let mut head = [0u8; IMAGE_HEADER_BYTES];
     head.copy_from_slice(&bytes[..IMAGE_HEADER_BYTES]);
     let header = ImageHeader::decode(&head)?;
-
-    let mut records = Vec::new();
-    let mut off = IMAGE_HEADER_BYTES;
-    let total = bytes.len();
-    while off < total {
-        // Frame = tag(1) + len(4) + payload + checksum(8).
-        if total - off < 13 {
-            break;
-        }
-        let len = read_u32(&bytes, off + 1) as usize;
-        let Some(end) = off.checked_add(13 + len) else {
-            break;
-        };
-        if end > total {
-            break;
-        }
-        let body = &bytes[off..off + 5 + len];
-        let sum = read_u64(&bytes, off + 5 + len);
-        if sum != fnv1a(body) {
-            break;
-        }
-        records.push(ImageRecord {
-            tag: bytes[off],
-            payload: bytes[off + 5..off + 5 + len].to_vec(),
-        });
-        off = end;
-    }
+    let (intact_end, frames) = intact_prefix(&bytes);
     Ok(ImageContents {
         header,
-        records,
-        torn_tail_bytes: (total - off) as u64,
+        frames,
+        torn_tail_bytes: (bytes.len() - intact_end) as u64,
+        bytes,
+        intact_end,
     })
+}
+
+/// The end offset of the intact frames after the header, and how many
+/// there are: the frames before the first one that is cut short or
+/// fails its checksum.
+fn intact_prefix(bytes: &[u8]) -> (usize, usize) {
+    let (mut intact_end, mut frames) = (IMAGE_HEADER_BYTES, 0);
+    let mut off = IMAGE_HEADER_BYTES;
+    loop {
+        // The `(start, end)` of up to four frames, from their length
+        // fields alone.
+        let mut group = [(0usize, 0usize); 4];
+        let mut found = 0;
+        while found < group.len() {
+            let Some(len) = frame_extent(&bytes[off..]) else {
+                break;
+            };
+            group[found] = (off, off + len);
+            off += len;
+            found += 1;
+        }
+        let intact = leading_intact(bytes, &group[..found]);
+        if intact > 0 {
+            intact_end = group[intact - 1].1;
+            frames += intact;
+        }
+        if intact < group.len() {
+            return (intact_end, frames);
+        }
+    }
+}
+
+/// How many of `group`'s frames, from the first, pass their checksum.
+fn leading_intact(bytes: &[u8], group: &[(usize, usize)]) -> usize {
+    let frame = |&(start, end): &(usize, usize)| &bytes[start..end];
+    if let [a, b, c, d] = group {
+        let sums = [a, b, c, d].map(|span| frame_sum(frame(span)));
+        let hashes = fnv1a_x4(sums.map(|(body, _)| body));
+        sums.iter()
+            .zip(hashes)
+            .take_while(|((_, sum), hash)| sum == hash)
+            .count()
+    } else {
+        group
+            .iter()
+            .take_while(|span| frame_intact(frame(span)))
+            .count()
+    }
 }
 
 #[cfg(test)]
@@ -403,18 +539,19 @@ mod tests {
         let img = read_image(&path).unwrap();
         assert_eq!(img.header, header());
         assert_eq!(
-            img.records,
+            img.records().collect::<Vec<_>>(),
             vec![
                 ImageRecord {
                     tag: 1,
-                    payload: vec![1, 2, 3]
+                    payload: &[1, 2, 3]
                 },
                 ImageRecord {
                     tag: 2,
-                    payload: b"payload".to_vec()
+                    payload: b"payload"
                 },
             ]
         );
+        assert_eq!(img.frames, 2);
         assert_eq!(img.torn_tail_bytes, 11);
         std::fs::remove_file(&path).unwrap();
     }
@@ -445,7 +582,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let img = read_image(&path).unwrap();
-        assert_eq!(img.records.len(), 1);
+        assert_eq!(img.frames, 1);
+        assert_eq!(img.records().count(), 1);
         assert_eq!(img.torn_tail_bytes, 21);
         std::fs::remove_file(&path).unwrap();
     }
@@ -456,8 +594,119 @@ mod tests {
         let w = ImageWriter::create(&path, &header()).unwrap();
         drop(w);
         let img = read_image(&path).unwrap();
-        assert!(img.records.is_empty());
+        assert_eq!(img.frames, 0);
+        assert_eq!(img.records().next(), None);
         assert_eq!(img.torn_tail_bytes, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn four_lane_fnv_equals_four_serial_hashes() {
+        let data: Vec<u8> = (0..256u32).map(|i| (i * 31 % 251) as u8).collect();
+        let lens = [
+            [0, 0, 0, 0],
+            [0, 1, 2, 3],
+            [17, 0, 64, 5],
+            [200, 199, 3, 100],
+            [8, 8, 8, 8],
+            [1, 250, 0, 249],
+        ];
+        for lens in lens {
+            let mut lane = 0;
+            let parts = lens.map(|len| {
+                lane += 1;
+                &data[lane..lane + len]
+            });
+            assert_eq!(fnv1a_x4(parts), parts.map(fnv1a), "lengths {lens:?}");
+        }
+    }
+
+    /// The plain serial reader `read_image` must agree with: check each
+    /// frame in turn and stop at the first that is cut short or fails
+    /// its checksum.
+    fn reference_read(bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, u64) {
+        let mut records = Vec::new();
+        let mut off = IMAGE_HEADER_BYTES;
+        while bytes.len() - off >= 13 {
+            let len = read_u32(bytes, off + 1) as usize;
+            let end = off + 13 + len;
+            if end > bytes.len() || read_u64(bytes, end - 8) != fnv1a(&bytes[off..end - 8]) {
+                break;
+            }
+            records.push((bytes[off], bytes[off + 5..end - 8].to_vec()));
+            off = end;
+        }
+        (records, (bytes.len() - off) as u64)
+    }
+
+    /// `read_image`'s view of `bytes`, in the reference's shape.
+    fn grouped_read(path: &Path, bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, u64) {
+        std::fs::write(path, bytes).unwrap();
+        let img = read_image(path).unwrap();
+        let records: Vec<_> = img.records().map(|r| (r.tag, r.payload.to_vec())).collect();
+        assert_eq!(img.frames, records.len());
+        (records, img.torn_tail_bytes)
+    }
+
+    /// Eleven frames of unequal lengths (zero included): two full
+    /// four-frame groups and a remainder group of three.
+    fn eleven_frame_image() -> Vec<u8> {
+        let mut bytes = header().encode().to_vec();
+        for i in 0..11u8 {
+            let payload: Vec<u8> = (0..(usize::from(i) * 7) % 23)
+                .map(|b| b as u8 ^ i)
+                .collect();
+            encode_frame_into(&mut bytes, i + 1, &payload);
+        }
+        bytes
+    }
+
+    #[test]
+    fn grouped_reader_matches_serial_reference_on_flips() {
+        let path = temp_path("flips");
+        let clean = eleven_frame_image();
+        let (all, torn) = reference_read(&clean);
+        assert_eq!((all.len(), torn), (11, 0));
+        assert_eq!(grouped_read(&path, &clean), (all, 0));
+        // Frame starts, so a flip can land at each lane of a group and
+        // in the remainder group.
+        let mut starts = Vec::new();
+        let mut off = IMAGE_HEADER_BYTES;
+        while off < clean.len() {
+            starts.push(off);
+            off += frame_extent(&clean[off..]).unwrap();
+        }
+        for (frame, &start) in starts.iter().enumerate() {
+            let end = start + frame_extent(&clean[start..]).unwrap();
+            // Tag, length field, first payload byte (or checksum when
+            // empty), last checksum byte.
+            for at in [start, start + 2, start + 5, end - 1] {
+                let mut bytes = clean.clone();
+                bytes[at] ^= 0x20;
+                let expected = reference_read(&bytes);
+                assert_eq!(
+                    expected.0.len(),
+                    frame,
+                    "flip at {at} must cut frame {frame}"
+                );
+                assert_eq!(grouped_read(&path, &bytes), expected, "flip at byte {at}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn grouped_reader_matches_serial_reference_on_truncation() {
+        let path = temp_path("truncated");
+        let clean = eleven_frame_image();
+        for len in IMAGE_HEADER_BYTES..=clean.len() {
+            let bytes = &clean[..len];
+            assert_eq!(
+                grouped_read(&path, bytes),
+                reference_read(bytes),
+                "cut at {len}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

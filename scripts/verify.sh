@@ -148,10 +148,17 @@ rm -rf "$unit_out" "$clean_ref" "$shard_out" "$shard_chaos_out" "$shard_dir"
 # completely — correct schemes counter-exact, the unordered strawman
 # re-detecting exactly its original loss, every recovery failpoint
 # verifiably fired, and the complete-id set monotone across the
-# nesting. See DESIGN.md §14.
-./target/release/crash_harness 8000 7 --double-kill --points mid-tuple > /dev/null || {
+# nesting. See DESIGN.md §14. The table is deterministic, so apart
+# from the `gc:` line (it counts stale files left on this filesystem)
+# it must equal the committed results/crash_double_kill.txt.
+dk_out=$(mktemp)
+./target/release/crash_harness 8000 7 --double-kill --points mid-tuple > "$dk_out" || {
   echo "verify: double-kill nested-crash sweep failed"; exit 1
 }
+grep -v '^gc:' "$dk_out" | cmp - results/crash_double_kill.txt || {
+  echo "verify: double-kill table diverged from results/crash_double_kill.txt"; exit 1
+}
+rm -f "$dk_out"
 
 # Process-isolation gate: a reduced sweep where every run re-execs as
 # its own rlimited child returning its report over a checksummed pipe
