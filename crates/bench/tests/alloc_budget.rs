@@ -1,6 +1,7 @@
-//! Allocation-regression pin: the arena-backed persist hot path and
-//! the durable image writer must be heap-allocation-free in steady
-//! state, so neither can silently rot back into per-persist `Vec`s.
+//! Allocation-regression pin: the arena-backed persist hot path, the
+//! data encryption and MAC, the NVM bank schedules and the durable
+//! image writer must be heap-allocation-free in steady state, so none
+//! can silently rot back into per-persist `Vec`s or tree nodes.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -18,7 +19,8 @@ use plp_core::engine::{
     UpdateEngine, UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
-use plp_crypto::{CounterBlock, SipKey};
+use plp_crypto::{CounterBlock, CounterValue, CtrEngine, DataBlock, MacEngine, SipKey};
+use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
 use plp_nvm::{ImageHeader, ImageWriter, NvmConfig, NvmDevice};
 
@@ -228,4 +230,55 @@ fn steady_state_persist_path_is_allocation_free() {
     );
     drop(writer);
     std::fs::remove_file(&path).expect("remove temp image");
+
+    // ---- Phase 4: data encryption and the stateful MAC. -----------
+    // Every persist, overflow re-encryption and recovery check runs
+    // these once per block.
+    let key = SipKey::new(7, 11);
+    let (ctr, mac) = (CtrEngine::new(key), MacEngine::new(key));
+    let mut acc = 0u64;
+    let mut seal = |rounds: u64| {
+        for i in 0..rounds * PAGES {
+            let addr = BlockAddr::new(i * 64);
+            let counter = CounterValue::new(i, (i % 64) as u8);
+            let cipher = ctr.encrypt(DataBlock::from_u64(i), addr, counter);
+            acc ^= mac.compute(&cipher, addr, counter).raw();
+        }
+    };
+    seal(WARM_ROUNDS);
+    let n = count_allocs(|| seal(MEASURED_ROUNDS));
+    assert_eq!(n, 0, "encrypt + MAC allocated {n} times in steady state");
+    assert_ne!(acc, 0);
+
+    // ---- Phase 5: the NVM bank schedules and write combining. -----
+    // One read, and optionally one write, every 1,000 cycles over
+    // sequential blocks: with block interleaving each of the 16 banks
+    // takes a booking of each kind every 16,000 cycles, so at most
+    // about 250 of its reservations lie inside the 2M-cycle prune
+    // horizon. A bank prunes once it holds more than 1,024 and again
+    // some 800 bookings later; the warm-up gives every bank 5,000, so
+    // each schedule has grown to its largest and pruned at least
+    // twice before anything is counted.
+    const STEP: u64 = 1_000;
+    let mut nvm = NvmDevice::new(NvmConfig::paper_default());
+    let mut k = 0u64;
+    let mut drive = |nvm: &mut NvmDevice, steps: u64, writes: bool| {
+        for _ in 0..steps {
+            let now = Cycle::new(k * STEP);
+            let _ = nvm.read(now, BlockAddr::new(k));
+            if writes {
+                let _ = nvm.write(now, BlockAddr::new((1 << 30) + k % 4_096));
+            }
+            k += 1;
+        }
+    };
+    drive(&mut nvm, 40_000, true);
+    let n = count_allocs(|| drive(&mut nvm, 20_000, false));
+    assert_eq!(n, 0, "20,000 warmed NVM reads allocated {n} times");
+    let n = count_allocs(|| drive(&mut nvm, 20_000, true));
+    assert_eq!(
+        n, 0,
+        "20,000 warmed NVM reads and writes allocated {n} times"
+    );
+    assert_eq!(nvm.stats().late_bookings, 0);
 }

@@ -12,7 +12,8 @@
 //! * [`BoundedQueue`] — a capacity-limited FIFO with occupancy statistics,
 //!   used for write-pending queues and memory-controller queues;
 //! * [`stats`] — counters, histograms and running means used by every
-//!   component to report results.
+//!   component to report results;
+//! * [`fastmap`] — the integer-keyed `HashMap` of the hot paths.
 //!
 //! The kernel is deliberately single-threaded and allocation-light: the
 //! PLP experiments sweep many configurations and benchmarks, so
@@ -40,6 +41,7 @@
 
 pub mod addr;
 mod bounded;
+pub mod fastmap;
 mod queue;
 mod resource;
 pub mod retry;

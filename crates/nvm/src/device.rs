@@ -1,9 +1,10 @@
 //! The bank/row timing model of the NVM device.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use plp_events::addr::BlockAddr;
+use plp_events::fastmap::FastMap;
 use plp_events::Cycle;
 use serde::{Deserialize, Serialize};
 
@@ -61,7 +62,7 @@ fn fault_roll(state: &mut u64, p: f64) -> bool {
 /// pruned.
 const HORIZON: u64 = 2_000_000;
 
-/// A bank's reservation map is never pruned below this many entries.
+/// A bank's reservation list is never pruned below this many entries.
 const MIN_PRUNE_LEN: usize = 1024;
 
 /// One bank's schedule: non-overlapping busy reservations.
@@ -74,13 +75,14 @@ const MIN_PRUNE_LEN: usize = 1024;
 /// also gives reads natural priority over queued future writes.
 #[derive(Debug, Clone, Default)]
 struct Bank {
-    /// start -> end of each reservation, non-overlapping.
-    reservations: BTreeMap<u64, u64>,
+    /// `(start, end)` of each reservation, sorted by start and
+    /// non-overlapping — so sorted by end as well. Starts are unique.
+    reservations: Vec<(u64, u64)>,
     /// Chronologically last access's row (row-buffer state).
     open_row: Option<u64>,
     /// End of the chronologically last reservation.
     latest_end: u64,
-    /// The map is pruned once it grows past this many entries (and
+    /// The list is pruned once it grows past this many entries (and
     /// past [`MIN_PRUNE_LEN`]); each prune doubles what it leaves.
     prune_at: usize,
     /// The horizon of the most recent prune: every reservation ending
@@ -94,26 +96,6 @@ struct Bank {
     prunes: u64,
 }
 
-/// The start of the earliest gap of `len` cycles at or after `now` in
-/// a map of non-overlapping `start -> end` reservations.
-fn earliest_gap(reservations: &BTreeMap<u64, u64>, now: u64, len: u64) -> u64 {
-    let mut candidate = now;
-    // A reservation already covering `candidate` pushes it to its end.
-    if let Some((_, &e)) = reservations.range(..=candidate).next_back() {
-        if e > candidate {
-            candidate = e;
-        }
-    }
-    // Walk later reservations until a large-enough gap appears.
-    for (&s, &e) in reservations.range(candidate..) {
-        if s >= candidate + len {
-            break;
-        }
-        candidate = candidate.max(e);
-    }
-    candidate
-}
-
 impl Bank {
     /// Books `len` busy cycles at the earliest gap at or after `now`;
     /// returns the start time.
@@ -121,18 +103,45 @@ impl Bank {
         if now < self.pruned_below {
             self.late_bookings += 1;
         }
-        let candidate = earliest_gap(&self.reservations, now, len);
-        self.reservations.insert(candidate, candidate + len);
+        let r = &mut self.reservations;
+        // `next` is the first reservation starting after `now`. The one
+        // before it is the only one that can cover `now`, and pushes
+        // the candidate to its end.
+        let mut next = r.partition_point(|&(s, _)| s <= now);
+        let mut candidate = now;
+        if let Some(&(_, e)) = r[..next].last() {
+            candidate = candidate.max(e);
+        }
+        // Walk later reservations until a large-enough gap appears.
+        while let Some(&(s, e)) = r.get(next) {
+            if s >= candidate + len {
+                break;
+            }
+            candidate = candidate.max(e);
+            next += 1;
+        }
+        // Everything before `next` starts at or before `candidate`,
+        // everything from it on after. Starts are keys: only a
+        // zero-length reservation can share one, and is replaced.
+        match r[..next].last_mut() {
+            Some(prev) if prev.0 == candidate => prev.1 = candidate + len,
+            _ => match r.get_mut(next) {
+                Some(after) if after.0 == candidate => after.1 = candidate + len,
+                _ => r.insert(next, (candidate, candidate + len)),
+            },
+        }
         // Bounded memory: drop reservations far behind the schedule
-        // frontier (no future request plausibly lands there). Pruning
-        // only once the map has doubled since the last prune keeps a
-        // booking amortized O(log n) even when every reservation is
-        // still inside the horizon and the prune removes nothing.
-        if self.reservations.len() > self.prune_at.max(MIN_PRUNE_LEN) {
+        // frontier (no future request plausibly lands there). Sorted
+        // by end, they are a prefix. Pruning only once the list has
+        // doubled since the last prune keeps a booking amortized cheap
+        // even when every reservation is still inside the horizon and
+        // the prune removes nothing.
+        if r.len() > self.prune_at.max(MIN_PRUNE_LEN) {
             let horizon = self.latest_end.saturating_sub(HORIZON);
-            self.reservations.retain(|_, &mut e| e >= horizon);
+            let stale = r.partition_point(|&(_, e)| e < horizon);
+            r.drain(..stale);
             self.pruned_below = horizon;
-            self.prune_at = 2 * self.reservations.len();
+            self.prune_at = 2 * r.len();
             #[cfg(test)]
             {
                 self.prunes += 1;
@@ -208,7 +217,7 @@ pub struct NvmDevice {
     reads: OutstandingSet,
     writes: OutstandingSet,
     /// Pending (not yet durable) writes, for write combining.
-    pending_writes: std::collections::HashMap<BlockAddr, Cycle>,
+    pending_writes: FastMap<BlockAddr, Cycle>,
     /// Splitmix64 state of the transient-read-fault stream.
     fault_rng: u64,
     stats: NvmStats,
@@ -240,7 +249,7 @@ impl NvmDevice {
             banks: vec![Bank::default(); config.banks],
             reads: OutstandingSet::new(config.read_queue),
             writes: OutstandingSet::new(config.write_queue),
-            pending_writes: std::collections::HashMap::new(),
+            pending_writes: FastMap::default(),
             fault_rng: config.read_fault.seed ^ 0x4E56_4D5F_4641_554C,
             config,
             stats: NvmStats::default(),
@@ -380,6 +389,7 @@ impl NvmDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn dev() -> NvmDevice {
         // Row-level interleaving keeps the bank/row arithmetic of these
@@ -605,12 +615,110 @@ mod tests {
         start
     }
 
+    /// The start of the earliest gap of `len` cycles at or after `now`
+    /// in a map of non-overlapping `start -> end` reservations: the
+    /// schedule kept as a `BTreeMap`, the reference for the slice.
+    fn earliest_gap(reservations: &BTreeMap<u64, u64>, now: u64, len: u64) -> u64 {
+        let mut candidate = now;
+        // A reservation already covering `candidate` pushes it to its end.
+        if let Some((_, &e)) = reservations.range(..=candidate).next_back() {
+            if e > candidate {
+                candidate = e;
+            }
+        }
+        // Walk later reservations until a large-enough gap appears.
+        for (&s, &e) in reservations.range(candidate..) {
+            if s >= candidate + len {
+                break;
+            }
+            candidate = candidate.max(e);
+        }
+        candidate
+    }
+
+    /// A bank whose schedule is a `BTreeMap`, pruned by the same rule:
+    /// the oracle every [`Bank`] booking, count and prune must match.
+    #[derive(Default)]
+    struct OracleBank {
+        reservations: BTreeMap<u64, u64>,
+        latest_end: u64,
+        prune_at: usize,
+        pruned_below: u64,
+        late_bookings: u64,
+        prunes: u64,
+    }
+
+    impl OracleBank {
+        fn book(&mut self, now: u64, len: u64) -> u64 {
+            if now < self.pruned_below {
+                self.late_bookings += 1;
+            }
+            let start = earliest_gap(&self.reservations, now, len);
+            self.reservations.insert(start, start + len);
+            if self.reservations.len() > self.prune_at.max(MIN_PRUNE_LEN) {
+                let horizon = self.latest_end.saturating_sub(HORIZON);
+                self.reservations.retain(|_, &mut e| e >= horizon);
+                self.pruned_below = horizon;
+                self.prune_at = 2 * self.reservations.len();
+                self.prunes += 1;
+            }
+            self.latest_end = self.latest_end.max(start + len);
+            start
+        }
+    }
+
+    /// Books on the bank and the oracle, and checks they agree on the
+    /// start, the late bookings, the prunes and the schedule's size —
+    /// and on every reservation after a prune. With `scan`, also checks
+    /// the whole slice is sorted by start with no overlaps.
+    fn book_checked(
+        bank: &mut Bank,
+        oracle: &mut OracleBank,
+        now: u64,
+        len: u64,
+        scan: bool,
+    ) -> u64 {
+        let prunes = bank.prunes;
+        let start = book(bank, now, len);
+        assert_eq!(start, oracle.book(now, len), "booking {len} at {now}");
+        assert_eq!(
+            (bank.late_bookings, bank.prunes, bank.reservations.len()),
+            (
+                oracle.late_bookings,
+                oracle.prunes,
+                oracle.reservations.len()
+            ),
+            "late bookings, prunes and size after booking {len} at {now}"
+        );
+        if scan || bank.prunes != prunes {
+            assert!(
+                bank.reservations
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].0),
+                "slice unsorted or overlapping after booking {len} at {now}"
+            );
+        }
+        if bank.prunes != prunes {
+            assert!(
+                bank.reservations
+                    .iter()
+                    .copied()
+                    .eq(oracle.reservations.iter().map(|(&s, &e)| (s, e))),
+                "prune {} left a different schedule",
+                bank.prunes
+            );
+        }
+        start
+    }
+
     #[test]
     fn pruning_never_changes_a_booking_inside_the_horizon() {
         // A seeded stream of bookings, most future-dated just past the
         // frontier and the rest anywhere inside the horizon behind it,
-        // against a reference schedule that is never pruned.
+        // against the pruned map oracle and a reference schedule that
+        // is never pruned.
         let mut bank = Bank::default();
+        let mut oracle = OracleBank::default();
         let mut reference = BTreeMap::new();
         let mut rng = 0x5EED_u64;
         for _ in 0..100_000 {
@@ -624,7 +732,8 @@ mod tests {
             let len = [70, 290, 600][(r >> 40) as usize % 3];
             let expected = earliest_gap(&reference, now, len);
             reference.insert(expected, expected + len);
-            assert_eq!(book(&mut bank, now, len), expected, "booking at {now}");
+            let start = book_checked(&mut bank, &mut oracle, now, len, true);
+            assert_eq!(start, expected, "booking at {now}");
         }
         assert!(bank.prunes > 0, "the stream must outgrow the prune floor");
         assert!(
@@ -632,6 +741,119 @@ mod tests {
             "the prunes must actually drop reservations"
         );
         assert_eq!(bank.late_bookings, 0);
+    }
+
+    /// One booking of an o3-shaped stream at core clock `clock`: half
+    /// are loads at the clock, half metadata fetches and flushes the
+    /// engine books 10k–60k cycles ahead of it.
+    fn o3_booking(r: u64, clock: u64) -> (u64, u64) {
+        if r.is_multiple_of(2) {
+            (clock, [70, 290][(r >> 40) as usize % 2])
+        } else {
+            (
+                clock + 10_000 + (r >> 8) % 50_000,
+                [290, 600][(r >> 40) as usize % 2],
+            )
+        }
+    }
+
+    #[test]
+    fn o3_shaped_stream_matches_the_map_oracle() {
+        // Loads land between reservations booked far ahead of them, so
+        // the predecessor search and the gap walk start deep inside the
+        // schedule rather than at its end.
+        let mut bank = Bank::default();
+        let mut oracle = OracleBank::default();
+        let mut reference = BTreeMap::new();
+        let mut rng = 0x03_u64;
+        let mut clock = 0;
+        for _ in 0..40_000 {
+            let r = splitmix_next(&mut rng);
+            clock += 500 + (r >> 24) % 2_000;
+            let (now, len) = o3_booking(r, clock);
+            let expected = earliest_gap(&reference, now, len);
+            reference.insert(expected, expected + len);
+            let start = book_checked(&mut bank, &mut oracle, now, len, true);
+            assert_eq!(start, expected, "booking at {now}");
+        }
+        assert!(bank.prunes >= 3, "{} prunes", bank.prunes);
+        assert!(bank.reservations.len() < reference.len());
+        assert_eq!(bank.late_bookings, 0);
+    }
+
+    #[test]
+    fn zero_length_bookings_keep_map_semantics() {
+        // A zero-length booking can share its start with a neighbour; as
+        // in a map keyed by start, the later booking replaces it. The
+        // last booking is pushed to the start of (100, 150) and so
+        // replaces that reservation with an empty one.
+        let mut bank = Bank::default();
+        let mut oracle = OracleBank::default();
+        let stream = [
+            (100, 0),
+            (100, 50),
+            (100, 0),
+            (200, 0),
+            (150, 0),
+            (150, 30),
+            (0, 10),
+            (0, 90),
+            (50, 0),
+        ];
+        for (now, len) in stream {
+            book_checked(&mut bank, &mut oracle, now, len, true);
+            assert!(bank
+                .reservations
+                .iter()
+                .copied()
+                .eq(oracle.reservations.iter().map(|(&s, &e)| (s, e))));
+        }
+        assert_eq!(
+            bank.reservations,
+            [(0, 10), (10, 100), (100, 100), (150, 180), (200, 200)]
+        );
+    }
+
+    #[test]
+    #[ignore = "2M bookings; run in release (scripts/verify.sh)"]
+    fn two_million_bookings_match_the_map_oracle() {
+        // Both stream shapes plus the rare cases: bookings behind the
+        // pruned horizon (late, so the pruned answers are what must
+        // agree) and zero-length bookings.
+        let mut bank = Bank::default();
+        let mut oracle = OracleBank::default();
+        let mut rng = 0x2_000_000_u64;
+        let mut clock = 0;
+        for i in 0..2_000_000u64 {
+            let r = splitmix_next(&mut rng);
+            let (now, len) = match (i / 100_000) % 2 {
+                0 => {
+                    clock += 500 + (r >> 24) % 2_000;
+                    o3_booking(r, clock)
+                }
+                _ => {
+                    let frontier = bank.latest_end;
+                    clock = frontier;
+                    let now = match r % 1_000 {
+                        0..=9 => frontier.saturating_sub(HORIZON + (r >> 8) % HORIZON),
+                        10..=259 => frontier.saturating_sub((r >> 8) % HORIZON),
+                        _ => frontier + (r >> 8) % 2_000,
+                    };
+                    (now, [70, 290, 600][(r >> 40) as usize % 3])
+                }
+            };
+            let len = if (r >> 20).is_multiple_of(5_000) {
+                0
+            } else {
+                len
+            };
+            book_checked(&mut bank, &mut oracle, now, len, i.is_multiple_of(4_096));
+        }
+        assert!(bank.prunes > 100, "{} prunes", bank.prunes);
+        assert!(
+            bank.late_bookings > 0,
+            "the stream must book behind the horizon"
+        );
     }
 
     #[test]
@@ -667,16 +889,20 @@ mod tests {
 
     #[test]
     fn bookings_behind_the_pruned_horizon_are_counted() {
+        // Back-to-back bookings on a 1,000-cycle grid: one reservation
+        // ends exactly at the first nonzero horizon and must be kept.
         let mut bank = Bank::default();
+        let mut oracle = OracleBank::default();
         let mut i = 0;
         while bank.pruned_below == 0 {
-            book(&mut bank, i * 1_000, 1_000);
+            book_checked(&mut bank, &mut oracle, i * 1_000, 1_000, false);
             i += 1;
         }
         let horizon = bank.pruned_below;
-        book(&mut bank, horizon, 10);
+        assert_eq!(bank.reservations[0].1, horizon);
+        book_checked(&mut bank, &mut oracle, horizon, 10, false);
         assert_eq!(bank.late_bookings, 0, "the horizon itself is not late");
-        book(&mut bank, horizon - 1, 10);
+        book_checked(&mut bank, &mut oracle, horizon - 1, 10, false);
         assert_eq!(bank.late_bookings, 1);
 
         // The device reports the sum over its banks.

@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # plain test run because they are slow in debug builds.
 cargo test --release -q -p plp-core --test long_runs -- --ignored
 
+# The NVM bank schedule against its BTreeMap oracle over 2M bookings
+# (frontier and o3-shaped streams, bookings behind the pruned horizon,
+# zero-length bookings): every start, late booking and prune agrees.
+cargo test --release -q -p plp-nvm --lib -- --ignored
+
 # Lint self-test: the fixture corpus under crates/analyze/tests/
 # fixtures must match exactly — every fire/ mutant produces its
 # seeded //~ ERROR markers (engine-contract, failpoint-coverage,
