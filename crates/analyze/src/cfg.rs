@@ -96,17 +96,6 @@ pub struct BasicBlock<'a> {
     pub preds: Vec<(BlockId, EdgeKind)>,
 }
 
-/// One lowered loop, for passes that reason per-iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct LoopInfo {
-    /// Header block (continue target).
-    pub header: BlockId,
-    /// First body block.
-    pub body_entry: BlockId,
-    /// Block after the loop (break target).
-    pub after: BlockId,
-}
-
 /// A function's control-flow graph.
 #[derive(Debug, Clone)]
 pub struct Cfg<'a> {
@@ -116,8 +105,6 @@ pub struct Cfg<'a> {
     pub entry: BlockId,
     /// Exit block — every `return`, `?` and the tail fall into it.
     pub exit: BlockId,
-    /// Every loop, outermost first in source order.
-    pub loops: Vec<LoopInfo>,
 }
 
 impl<'a> Cfg<'a> {
@@ -153,7 +140,6 @@ pub fn build<'a>(f: &'a Function) -> Option<Cfg<'a>> {
         blocks: vec![BasicBlock::default(), BasicBlock::default()],
         exit: 1,
         loops: Vec::new(),
-        loop_infos: Vec::new(),
     };
     let end = b.block(body, 0);
     b.edge(end, b.exit, EdgeKind::Normal);
@@ -161,7 +147,6 @@ pub fn build<'a>(f: &'a Function) -> Option<Cfg<'a>> {
         blocks: b.blocks,
         entry: 0,
         exit: 1,
-        loops: b.loop_infos,
     })
 }
 
@@ -170,7 +155,6 @@ struct Builder<'a> {
     exit: BlockId,
     /// `(continue target, break target)` stack.
     loops: Vec<(BlockId, BlockId)>,
-    loop_infos: Vec<LoopInfo>,
 }
 
 impl<'a> Builder<'a> {
@@ -361,11 +345,6 @@ impl<'a> Builder<'a> {
                 let after = self.new_block();
                 let be = self.new_block();
                 self.edge(hdr, be, EdgeKind::Normal);
-                self.loop_infos.push(LoopInfo {
-                    header: hdr,
-                    body_entry: be,
-                    after,
-                });
                 self.loops.push((hdr, after));
                 let bend = self.block(body, be);
                 self.loops.pop();

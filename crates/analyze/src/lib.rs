@@ -26,7 +26,3 @@ pub mod dataflow;
 pub mod lint;
 pub mod passes;
 pub mod syntax;
-
-pub use lint::rules::{Finding, RuleId, RULES};
-pub use lint::scan::SourceModel;
-pub use lint::{lint_file, FileReport};

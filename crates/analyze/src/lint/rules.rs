@@ -52,9 +52,8 @@ pub const NO_RAW_PROCESS_KILL: RuleId = "no-raw-process-kill";
 /// barrier the coordinator enforces.
 pub const NO_CROSS_SHARD_STATE: RuleId = "no-cross-shard-state";
 /// On every path through an `UpdateEngine` persist method, no early
-/// return may leave node updates (`EngineCtx::update_node`) unsealed,
-/// and no `continue` may skip an iteration's update. Checked by CFG
-/// dataflow in `passes::engine_contract`.
+/// return may leave node updates (`EngineCtx::walk`) unsealed. Checked
+/// by CFG dataflow in `passes::engine_contract`.
 pub const ENGINE_CONTRACT: RuleId = "engine-contract";
 /// Every path through the system persist drivers (`persist_block`,
 /// `seal_epoch`) and the durable recovery driver (`recover_image`)
@@ -152,7 +151,7 @@ pub struct FileScope {
     /// An `UpdateEngine` implementation file — subject to the
     /// persist-order contract ([`ENGINE_CONTRACT`]).
     pub engine: bool,
-    /// The deliberate bug factory (`engine/mutant.rs`): its seeded
+    /// The deliberate bug factory (`engine/ctx/mutant.rs`): its seeded
     /// contract violations are the sanitizer's test corpus, so the
     /// engine-contract pass skips it by design.
     pub mutant_factory: bool,
@@ -177,7 +176,7 @@ impl FileScope {
         let coordinator = path == "crates/core/src/shard.rs"
             || path == "crates/core/src/system.rs";
         let engine = path.starts_with("crates/core/src/engine/");
-        let mutant_factory = path == "crates/core/src/engine/mutant.rs";
+        let mutant_factory = path == "crates/core/src/engine/ctx/mutant.rs";
         let persist_driver = path == "crates/core/src/system.rs";
         let recovery_driver = path == "crates/core/src/crash.rs";
         FileScope {
@@ -407,7 +406,7 @@ mod tests {
     fn scope_flags_for_engine_and_driver_files() {
         let eng = FileScope::classify("crates/core/src/engine/pipeline.rs");
         assert!(eng.engine && !eng.mutant_factory);
-        let mutant = FileScope::classify("crates/core/src/engine/mutant.rs");
+        let mutant = FileScope::classify("crates/core/src/engine/ctx/mutant.rs");
         assert!(mutant.engine && mutant.mutant_factory);
         let sys = FileScope::classify("crates/core/src/system.rs");
         assert!(sys.persist_driver && sys.coordinator);

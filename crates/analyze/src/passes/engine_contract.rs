@@ -1,27 +1,25 @@
-//! The persist-order contract over `UpdateEngine` methods (PLP-E00x).
+//! The persist-order contract over `UpdateEngine` methods (PLP-E002).
 //!
 //! Scope: functions in engine files (`crates/core/src/engine/`) that
 //! take an `EngineCtx` parameter — the persist/seal entry points. The
 //! mutant factory is exempt (its seeded violations are the sanitizer's
 //! test corpus), as is test code.
 //!
-//! An engine updates a node only through `EngineCtx::update_node`,
-//! which fetches the node, charges the MAC and reports the update in
-//! one call; the fetch and the report are private to the context
-//! module, so "a fetched node is always reported" (the retired
-//! PLP-E001) is enforced by rustc. Two obligations remain, both proved
-//! on the CFG under the optimistic loop stance (a real walk visits at
-//! least one tree level):
+//! An engine updates nodes only through `EngineCtx::walk`, which
+//! updates every level of a contiguous range in order, fetching each
+//! node, charging the MAC and reporting the update; the single-node
+//! update, the fetch and the report are private to the context
+//! module. So "a fetched node is always reported" (the retired
+//! PLP-E001) and "no level of the walk is skipped" (the retired
+//! PLP-E003) are enforced by rustc. One obligation remains, proved on
+//! the CFG under the optimistic loop stance:
 //!
 //! * **PLP-E002** — no exit may leave noted updates unsealed: once a
 //!   path updates a node, it must write engine state (`self` field
 //!   assignment or a mutating collection call — the seal/ack) before
 //!   returning. An early `return` between update and seal fires here.
-//! * **PLP-E003** — a `continue` that jumps back to the loop header
-//!   before the iteration's `update_node` leaves that level unupdated
-//!   even though the walk moved on.
 
-use crate::cfg::{self, Atom, AtomKind, EdgeKind};
+use crate::cfg::{self, Atom, EdgeKind};
 use crate::dataflow;
 use crate::lint::rules::{Finding, ENGINE_CONTRACT};
 use crate::passes::{emit, takes_engine_ctx, Universe};
@@ -86,74 +84,6 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
                     "exit path leaves noted updates unsealed",
                     out,
                 );
-            }
-        }
-
-        // E003: a continue that skips the iteration's note.
-        for lp in &cfg.loops {
-            let mut body = Vec::new();
-            let mut stack = vec![lp.body_entry];
-            let mut seen = vec![false; cfg.blocks.len()];
-            while let Some(b) = stack.pop() {
-                if b == lp.header || b == lp.after || b == cfg.exit {
-                    continue;
-                }
-                if std::mem::replace(&mut seen[b], true) {
-                    continue;
-                }
-                body.push(b);
-                for &(t, _) in &cfg.blocks[b].succs {
-                    stack.push(t);
-                }
-            }
-            let obligated = body
-                .iter()
-                .any(|&b| cfg.blocks[b].atoms.iter().any(&notes));
-            if !obligated {
-                continue;
-            }
-            // Walk forward from the body entry, stopping any path at
-            // its first note; a continue reached first is a skip.
-            let mut stack = vec![lp.body_entry];
-            let mut seen = vec![false; cfg.blocks.len()];
-            while let Some(b) = stack.pop() {
-                if b == lp.header || b == lp.after || b == cfg.exit {
-                    continue;
-                }
-                if std::mem::replace(&mut seen[b], true) {
-                    continue;
-                }
-                let mut noted = false;
-                for a in &cfg.blocks[b].atoms {
-                    if notes(a) {
-                        noted = true;
-                        break;
-                    }
-                    if a.kind == AtomKind::Continue
-                        && cfg.blocks[b]
-                            .succs
-                            .iter()
-                            .any(|&(t, k)| t == lp.header && k == EdgeKind::Back)
-                    {
-                        emit(
-                            u,
-                            file,
-                            ENGINE_CONTRACT,
-                            "PLP-E003",
-                            a.line,
-                            0,
-                            "continue skips this iteration's update_node",
-                            out,
-                        );
-                        noted = true; // stop exploring past the continue
-                        break;
-                    }
-                }
-                if !noted {
-                    for &(t, _) in &cfg.blocks[b].succs {
-                        stack.push(t);
-                    }
-                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! system model, plus `recover_image`, the durable recovery writeback
 //! the double-kill sweep interrupts), that *every* path from entry to
 //! exit crosses at least one failpoint visit — directly (`fp_hit`, or
-//! `update_node`, which visits the between-levels failpoint) or
+//! `walk`, whose node updates visit the between-levels failpoint) or
 //! through a callee whose every path crosses one (the `crosses`
 //! summary).
 //!

@@ -5,14 +5,14 @@
 //! by `(owner, name)`, plus three interprocedural summaries computed
 //! to a bounded fixpoint:
 //!
-//! * `notes` — the function (transitively) calls
-//!   `EngineCtx::update_node`, the one primitive through which an
-//!   engine updates and reports a BMT node.
+//! * `notes` — the function (transitively) calls `EngineCtx::walk`,
+//!   the one primitive through which an engine updates and reports
+//!   BMT nodes.
 //! * `writes` — the function (transitively) writes `self` state — an
 //!   assignment to a `self` field or a mutating collection call on
 //!   one — which is how an engine seals/acks an update batch.
 //! * `crosses` — every path through the function crosses a named
-//!   failpoint (`fp_hit`/`update_node`), under optimistic loops.
+//!   failpoint (`fp_hit`/`walk`), under optimistic loops.
 //!
 //! Call resolution is name-based and deliberately conservative:
 //! `self.f()` resolves through the enclosing impl owner, `self.x.f()`
@@ -194,9 +194,9 @@ impl Universe {
         }
     }
 
-    /// Whether a call (transitively) reports through `update_node`.
+    /// Whether a call (transitively) reports through `walk`.
     pub fn call_notes(&self, call: &Call, caller_owner: Option<&str>) -> bool {
-        if call.name == "update_node" {
+        if call.name == "walk" {
             return true;
         }
         let c = self.resolve(call, caller_owner);
@@ -219,7 +219,7 @@ impl Universe {
 
     /// Whether a call crosses a failpoint on all its paths.
     pub fn call_crosses(&self, call: &Call, caller_owner: Option<&str>) -> bool {
-        if call.name == "fp_hit" || call.name == "update_node" {
+        if call.name == "fp_hit" || call.name == "walk" {
             return true;
         }
         let c = self.resolve(call, caller_owner);

@@ -5,7 +5,7 @@
 //! a real token stream: every token with its byte span, line and
 //! column, literals classified (including raw strings with any number
 //! of hashes, byte and byte-raw strings, char/byte literals with
-//! escapes), comments captured separately, and common multi-character
+//! escapes), comments skipped, and common multi-character
 //! operators fused so `->`, `=>`, `::` and the compound assignments
 //! are single tokens.
 //!
@@ -60,24 +60,11 @@ impl Token {
     }
 }
 
-/// A comment, captured out of band (tokens skip comments entirely).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text without the `//` / `/* */` markers.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// Whether this was a block comment.
-    pub block: bool,
-}
-
-/// A lexed file: tokens plus the comment side channel.
+/// A lexed file: its tokens (comments skipped).
 #[derive(Debug, Clone, Default)]
 pub struct TokenStream {
     /// All non-trivia tokens, in source order.
     pub tokens: Vec<Token>,
-    /// All comments, in source order.
-    pub comments: Vec<Comment>,
 }
 
 /// Multi-character operators fused into single punct tokens, longest
@@ -90,7 +77,7 @@ const FUSED: [&str; 21] = [
     "*=", "/=", "%=", "^=", "&=", "|=",
 ];
 
-/// Lexes `src` into tokens and comments. Total function: malformed
+/// Lexes `src` into tokens, skipping comments. Total function: malformed
 /// input degrades to punct tokens rather than failing.
 pub fn lex(src: &str) -> TokenStream {
     Lexer {
@@ -166,39 +153,21 @@ impl Lexer<'_> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos + 2;
         while self.peek(0).is_some_and(|b| b != b'\n') {
             self.bump();
         }
-        let text = self
-            .src
-            .get(start..self.pos)
-            .unwrap_or("")
-            .trim_start_matches(['/', '!'])
-            .trim()
-            .to_string();
-        self.out.comments.push(Comment {
-            text,
-            line,
-            block: false,
-        });
     }
 
     /// Block comments nest (`/* /* */ */`), and string-like text inside
     /// them is plain comment text.
     fn block_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos + 2;
         self.bump();
         self.bump();
         let mut depth = 1u32;
-        let mut end = self.pos;
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some(b'*'), Some(b'/')) => {
                     depth -= 1;
-                    end = self.pos;
                     self.bump();
                     self.bump();
                 }
@@ -208,24 +177,9 @@ impl Lexer<'_> {
                     self.bump();
                 }
                 (Some(_), _) => self.bump(),
-                (None, _) => {
-                    end = self.pos;
-                    break;
-                }
+                (None, _) => break,
             }
         }
-        let text = self
-            .src
-            .get(start..end)
-            .unwrap_or("")
-            .trim_start_matches(['*', '!'])
-            .trim()
-            .to_string();
-        self.out.comments.push(Comment {
-            text,
-            line,
-            block: true,
-        });
     }
 
     /// `"…"` with escapes; `\X` always consumes the escaped char, so an
@@ -578,7 +532,7 @@ mod tests {
     fn block_comment_markers_inside_strings_do_not_comment() {
         let src = "let s = \"/* not a comment */\"; real()";
         let out = lex(src);
-        assert!(out.comments.is_empty());
+        assert!(out.tokens.iter().any(|t| t.text(src) == "\"/* not a comment */\""));
         assert!(out.tokens.iter().any(|t| t.text(src) == "real"));
     }
 
@@ -586,8 +540,8 @@ mod tests {
     fn strings_inside_block_comments_do_not_unbalance() {
         let src = "/* \"unclosed in comment /* nested */ still comment */ code()";
         let out = lex(src);
-        assert_eq!(out.comments.len(), 1);
-        assert!(out.tokens.iter().any(|t| t.text(src) == "code"));
+        let texts: Vec<&str> = out.tokens.iter().map(|t| t.text(src)).collect();
+        assert_eq!(texts, ["code", "(", ")"]);
     }
 
     #[test]
@@ -647,12 +601,11 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_captured() {
+    fn comments_are_skipped() {
         let src = "/// doc text\n//! inner\n/* block /* nested */ body */ x";
         let out = lex(src);
-        assert_eq!(out.comments.len(), 3);
-        assert_eq!(out.comments[0].text, "doc text");
-        assert_eq!(out.comments[1].text, "inner");
-        assert!(out.comments[2].text.contains("body"));
+        assert_eq!(out.tokens.len(), 1);
+        assert_eq!(out.tokens[0].text(src), "x");
+        assert_eq!(out.tokens[0].line, 3);
     }
 }

@@ -14,8 +14,5 @@
 pub mod lexer;
 pub mod parse;
 
-pub use lexer::{lex, Comment, Token, TokenKind, TokenStream};
-pub use parse::{
-    parse, Arm, Assign, Block, Call, Cast, ExprInfo, Function, LoopKind, Param, ParsedFile, Stmt,
-    StmtKind, StructDef,
-};
+pub use lexer::{lex, TokenKind, TokenStream};
+pub use parse::{parse, Block, Call, ExprInfo, Function, LoopKind, ParsedFile, Stmt, StmtKind};

@@ -162,12 +162,8 @@ pub enum StmtKind {
 /// single-statement [`Block`].
 #[derive(Debug, Clone)]
 pub struct Arm {
-    /// Normalized pattern text (guards included).
-    pub pat: String,
     /// Arm body.
     pub body: Block,
-    /// 1-based line of the pattern.
-    pub line: u32,
 }
 
 /// An opaque expression plus everything the passes extract from it.
@@ -201,10 +197,6 @@ pub struct Call {
     /// Last path segment before `::` for qualified calls
     /// (`Failpoint::parse` → `Failpoint`).
     pub qual: Option<String>,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
     /// Whether the call site is inside a closure literal.
     pub in_closure: bool,
 }
@@ -229,8 +221,6 @@ pub struct Assign {
     pub root: String,
     /// First field segment for `self.field…` targets.
     pub field: Option<String>,
-    /// Whether the operator was compound (`+=`, …).
-    pub compound: bool,
 }
 
 /// Keywords that look like `ident (` but are not calls.
@@ -986,8 +976,6 @@ impl Parser<'_> {
             let Some(arrow) = self.find_at_depth0(j, close, "=>") else {
                 break;
             };
-            let pat = self.normalize(j, arrow);
-            let arm_line = self.line(j);
             let body_start = arrow + 1;
             let body = if self.text(body_start) == "{" {
                 let bclose = self.matching(body_start, close);
@@ -1016,11 +1004,7 @@ impl Parser<'_> {
                     span: (body_start, arm_end),
                 }
             };
-            arms.push(Arm {
-                pat,
-                body,
-                line: arm_line,
-            });
+            arms.push(Arm { body });
         }
         out.push(Stmt {
             kind: StmtKind::Match { scrut, arms },
@@ -1117,11 +1101,7 @@ impl Parser<'_> {
                     let root = self.text(lo).to_string();
                     let field = (root == "self" && self.text(lo + 1) == ".")
                         .then(|| self.text(lo + 2).to_string());
-                    info.assign = Some(Assign {
-                        root,
-                        field,
-                        compound: t != "=",
-                    });
+                    info.assign = Some(Assign { root, field });
                 }
                 "?" if !in_closure(j, &info.closures) => info.has_question = true,
                 "as" if self.kind(j) == Some(TokenKind::Ident) => {
@@ -1146,8 +1126,6 @@ impl Parser<'_> {
                             name: t.to_string(),
                             recv,
                             qual,
-                            line: self.line(j),
-                            col: self.toks.get(j).map(|t| t.col).unwrap_or(1),
                             in_closure: in_closure(j, &info.closures),
                         });
                     }
@@ -1406,7 +1384,6 @@ mod tests {
         };
         assert_eq!(arms.len(), 3);
         assert!(matches!(arms[0].body.stmts[0].kind, StmtKind::Return { .. }));
-        assert_eq!(arms[2].pat, "_");
     }
 
     #[test]
@@ -1456,7 +1433,6 @@ mod tests {
         assert_eq!(get(0).root, "self");
         assert_eq!(get(0).field.as_deref(), Some("busy_until"));
         assert_eq!(get(1).root, "total");
-        assert!(get(1).compound);
         assert_eq!(get(2).field.as_deref(), Some("drained"));
     }
 

@@ -37,12 +37,6 @@ fn render(src: &str) -> String {
             succs.join(",")
         ));
     }
-    for lp in &g.loops {
-        out.push_str(&format!(
-            "loop header=b{} body=b{} after=b{}\n",
-            lp.header, lp.body_entry, lp.after
-        ));
-    }
     out
 }
 
@@ -126,7 +120,6 @@ fn insta_like(got: &str, name: &str) {
             "b5[Plain@7] -> b2:Back,b3:LoopBypass\n",
             "b6[Continue@5] -> b2:Back\n",
             "b7[] -> b5:Normal\n",
-            "loop header=b2 body=b4 after=b3\n",
         ),
         "match_arms" => concat!(
             "b0[Cond@2] -> b3:Normal,b4:Normal,b5:Normal\n",

@@ -1,17 +1,22 @@
 //@ path: crates/core/src/system.rs
 //! Clean driver: both persist drivers cross a named failpoint on
 //! every path — directly, inside the walk loop (optimistic stance),
-//! or through a callee whose every path crosses one.
+//! through a callee whose every path crosses one, or through an
+//! engine walk, whose node updates visit the between-levels
+//! failpoint.
 
 pub struct System {
     pub now: u64,
 }
 
 impl System {
-    pub fn persist_block(&mut self, addr: u64, fast: bool) -> u64 {
+    pub fn persist_block(&mut self, ctx: &mut Ctx, addr: u64, fast: bool, walked: bool) -> u64 {
         if fast {
             self.checked_apply(addr);
             return self.now;
+        }
+        if walked {
+            return ctx.walk(addr, 1..=4, self.now, |_| 0, |_, _, _, _| {});
         }
         self.fp_hit(addr);
         self.now

@@ -1,7 +1,6 @@
 //@ path: crates/core/src/engine/triad_fx.rs
 //! Clean triad_nvm-shaped engine: the walk is truncated at the
-//! persisted floor, but every level it does visit is updated
-//! in-iteration, and the relaxed-region lag is sealed into engine
+//! persisted floor, and the relaxed-region lag is sealed into engine
 //! state before any exit.
 
 pub struct Triad {
@@ -10,15 +9,12 @@ pub struct Triad {
 }
 
 impl Triad {
-    pub fn persist(&mut self, ctx: &mut EngineCtx, levels: u64, floor: u64, t: u64) -> u64 {
+    pub fn persist(&mut self, ctx: &mut EngineCtx, leaf: u64, levels: u32, floor: u32, t: u64) -> u64 {
         if levels == 0 {
             return t;
         }
-        let mut done = t;
         // Strict region only: floor..=levels, deepest first.
-        for lvl in floor..levels {
-            done = ctx.update_node(lvl, lvl, done);
-        }
+        let done = ctx.walk(leaf, floor..=levels, t, |_| 0, |_, _, _, _| {});
         // The relaxed upper tree persists behind the lag register.
         self.lag = done + floor;
         self.busy_until = done;

@@ -20,7 +20,7 @@ struct Harness {
     meta: MetadataCaches,
     nvm: NvmDevice,
     stats: EngineStats,
-    walk: Vec<plp_bmt::NodeLabel>,
+    path_scratch: Vec<plp_bmt::NodeLabel>,
 }
 
 impl Harness {
@@ -30,7 +30,7 @@ impl Harness {
             meta: MetadataCaches::new(128 << 10, true),
             nvm: NvmDevice::new(NvmConfig::paper_default()),
             stats: EngineStats::default(),
-            walk: Vec::new(),
+            path_scratch: Vec::new(),
         }
     }
 
@@ -42,7 +42,7 @@ impl Harness {
             nvm: &mut self.nvm,
             stats: &mut self.stats,
             tap: None,
-            walk: &mut self.walk,
+            path_scratch: &mut self.path_scratch,
             failpoints: None,
         }
     }
@@ -53,7 +53,7 @@ const BURST: u64 = 256;
 fn bench_sequential(c: &mut Criterion) {
     c.bench_function("engine/sequential-256-persists", |b| {
         b.iter_batched(
-            || (Harness::new(), SequentialEngine::default()),
+            || (Harness::new(), SequentialEngine::new(1)),
             |(mut h, mut e)| {
                 let mut last = Cycle::ZERO;
                 for i in 0..BURST {

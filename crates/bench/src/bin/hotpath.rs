@@ -41,7 +41,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use plp_bench::matrix::{time_sweep, MatrixOptions, RunRequest, SweepTiming};
-use plp_bench::{all_specs, RunSettings};
+use plp_bench::{all_specs, json_number, RunSettings};
 use plp_core::{SimSetup, SystemConfig, UpdateScheme};
 use plp_trace::{spec, TraceGenerator};
 
@@ -299,18 +299,6 @@ fn render_json(o: &Options, costs: &[SchemeCost], scaling: f64, sweep: &SweepTim
     ));
     out.push_str("}\n");
     out
-}
-
-/// Pulls `"key": number` out of a flat JSON document (the only shape
-/// this tool reads or writes — no dependency needed).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = doc[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Compares fresh per-scheme relative costs against the committed

@@ -30,6 +30,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
+use plp_bench::json_number;
 use plp_core::{
     replay_image, DurableSink, FaultVerdict, ObserverExpectation, PersistRecord, RebuildStrategy,
     RecoveryManager, SimSetup, SystemConfig, UpdateScheme,
@@ -303,18 +304,6 @@ fn render_json(o: &Options, rows: &[ParetoRow]) -> String {
     out.push_str("  }\n");
     out.push_str("}\n");
     out
-}
-
-/// Pulls `"key": number` out of a flat JSON document (the only shape
-/// this tool reads or writes — no dependency needed).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = doc[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Compares fresh values against the committed baseline. The sweep is

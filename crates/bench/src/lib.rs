@@ -191,10 +191,35 @@ pub fn run_spec(spec: &ExperimentSpec) {
     eprintln!("[plp-bench] {}: {}", spec.id, stats.summary());
 }
 
+/// Pulls `"key": number` out of a flat JSON document, the shape the
+/// harness's committed baselines are written in. `None` when the key
+/// is missing or its value is not a number (`null`, for instance).
+pub fn json_number(doc: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let start = doc.find(&needle)? + needle.len();
+    let rest = doc[start..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use plp_core::UpdateScheme;
+
+    #[test]
+    fn json_number_reads_flat_keys() {
+        let doc =
+            "{\n  \"sp_ctree\": 2.5,\n  \"sp\": 1.25,\n  \"o3\": -0.5,\n  \"secure_WB\": null\n}";
+        // "sp" must not match the "sp_ctree" key that precedes it.
+        assert_eq!(json_number(doc, "sp"), Some(1.25));
+        assert_eq!(json_number(doc, "sp_ctree"), Some(2.5));
+        assert_eq!(json_number(doc, "o3"), Some(-0.5));
+        assert_eq!(json_number(doc, "secure_WB"), None);
+        assert_eq!(json_number(doc, "pipeline"), None);
+    }
 
     #[test]
     fn settings_defaults() {

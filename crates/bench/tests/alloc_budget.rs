@@ -64,7 +64,7 @@ struct Harness {
     meta: MetadataCaches,
     nvm: NvmDevice,
     stats: EngineStats,
-    walk: Vec<plp_bmt::NodeLabel>,
+    path_scratch: Vec<plp_bmt::NodeLabel>,
 }
 
 impl Harness {
@@ -74,7 +74,7 @@ impl Harness {
             meta: MetadataCaches::new(128 << 10, true),
             nvm: NvmDevice::new(NvmConfig::paper_default()),
             stats: EngineStats::default(),
-            walk: Vec::new(),
+            path_scratch: Vec::new(),
         }
     }
 
@@ -86,7 +86,7 @@ impl Harness {
             nvm: &mut self.nvm,
             stats: &mut self.stats,
             tap: None,
-            walk: &mut self.walk,
+            path_scratch: &mut self.path_scratch,
             failpoints: None,
         }
     }
@@ -126,7 +126,7 @@ fn steady_state_persist_path_is_allocation_free() {
     // per epoch by design; the per-persist budget is what's pinned.)
 
     let mut h = Harness::new();
-    let mut seq = SequentialEngine::default();
+    let mut seq = SequentialEngine::new(1);
     let mut now = 0u64;
     let mut drive_seq = |h: &mut Harness, e: &mut SequentialEngine, rounds: u64| {
         for _ in 0..rounds {

@@ -51,10 +51,10 @@ impl CoalescingEngine {
         }
     }
 
-    /// Commits the carrier's path at levels `from ..= to` (deep to
-    /// shallow), with `extra_gate` additionally constraining the
-    /// shallowest (`to`-level, i.e. LCA) update. Returns the completion
-    /// of the last committed node.
+    /// Commits the carrier's path at levels `to_level ..=
+    /// carrier.suffix_from` (deep to shallow), with `extra_gate`
+    /// additionally constraining the shallowest (`to_level`, i.e.
+    /// LCA) update. Returns the completion of the last committed node.
     fn commit_carrier_levels(
         &mut self,
         carrier: Carrier,
@@ -62,26 +62,9 @@ impl CoalescingEngine {
         extra_gate: Cycle,
         ctx: &mut EngineCtx<'_>,
     ) -> Cycle {
-        let mut t = carrier.ready;
-        if carrier.suffix_from < to_level || carrier.suffix_from == 0 {
-            return t;
-        }
-        // One O(1) ancestor lift to the suffix's deepest node, then a
-        // parent step per committed level — no materialized path.
-        let mut node = ctx
-            .geometry
-            .ancestor_at_level(carrier.leaf, carrier.suffix_from);
-        for level in (to_level..=carrier.suffix_from).rev() {
-            let gate = if level == to_level { t.max(extra_gate) } else { t };
-            t = self.inner.epoch_update(node, level, gate, ctx);
-            if level > to_level {
-                node = match ctx.geometry.parent(node) {
-                    Some(p) => p,
-                    None => break,
-                };
-            }
-        }
-        t
+        let levels = to_level..=carrier.suffix_from;
+        self.inner
+            .epoch_walk(ctx, carrier.leaf, levels, carrier.ready, extra_gate)
     }
 }
 
@@ -119,13 +102,8 @@ impl UpdateEngine for CoalescingEngine {
         }
 
         // This persist walks its own nodes strictly below the LCA.
-        let mut own_done = now;
-        for (node, level) in ctx.geometry.walk_up(req.leaf) {
-            if level <= lca_level {
-                break;
-            }
-            own_done = self.inner.epoch_update(node, level, own_done, ctx);
-        }
+        let own = lca_level + 1..=self.levels;
+        let own_done = self.inner.epoch_walk(ctx, req.leaf, own, now, Cycle::ZERO);
         // The carrier commits down to the LCA, whose update must also
         // wait for this persist's sub-LCA work.
         let carrier_done = self.commit_carrier_levels(carrier, lca_level, own_done, ctx);

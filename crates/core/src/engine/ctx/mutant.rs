@@ -8,11 +8,17 @@
 //! assert the sanitizer reports the matching
 //! [`crate::sanitizer::ViolationKind`]. A mutant is swapped into a run
 //! via [`crate::Simulation::override_engine`]; the production
-//! [`super::for_config`] path can never build one.
+//! [`crate::engine::for_config`] path can never build one.
+//!
+//! This is a child of the context module, and the only code outside
+//! it that can call the private single-node update: the strict-family
+//! bugs are hand-rolled walks that [`EngineCtx::walk`] makes
+//! unwritable everywhere else.
 
 use plp_events::Cycle;
 
-use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
+use super::EngineCtx;
+use crate::engine::{LevelTimes, UpdateEngine, UpdateRequest};
 
 /// Which ordering bug the mutant plants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +51,9 @@ pub struct MutantEngine {
     mutation: Mutation,
     /// Per-level completion of sealed epochs (the gate
     /// [`Mutation::IgnoreEpochGate`] ignores).
-    prev_epoch_level_done: Vec<Cycle>,
+    prev_epoch_level_done: LevelTimes,
     /// Per-level max completion of the open epoch.
-    cur_epoch_level_max: Vec<Cycle>,
+    cur_epoch_level_max: LevelTimes,
     last_reported_seal: Option<Cycle>,
     drained: Cycle,
 }
@@ -57,8 +63,8 @@ impl MutantEngine {
     pub fn new(mutation: Mutation, levels: u32) -> Self {
         MutantEngine {
             mutation,
-            prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
-            cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
+            prev_epoch_level_done: LevelTimes::new(levels),
+            cur_epoch_level_max: LevelTimes::new(levels),
             last_reported_seal: None,
             drained: Cycle::ZERO,
         }
@@ -71,14 +77,13 @@ impl MutantEngine {
         at: Cycle,
         ctx: &mut EngineCtx<'_>,
     ) -> Cycle {
-        let slot = level_slot(level - 1);
         let gate = match self.mutation {
             // The planted bug: skip the cross-epoch authorization.
             Mutation::IgnoreEpochGate => at,
-            _ => at.max(self.prev_epoch_level_done[slot]),
+            _ => at.max(self.prev_epoch_level_done.get(level)),
         };
         let done = ctx.update_node(label, level, gate);
-        self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
+        self.cur_epoch_level_max.raise(level, done);
         done
     }
 }
@@ -99,14 +104,12 @@ impl UpdateEngine for MutantEngine {
                 // The planted bug: root first. The only walk that needs
                 // a materialized path — borrowed from the simulation's
                 // shared scratch, not allocated.
-                let mut path = std::mem::take(ctx.walk);
+                let mut path = std::mem::take(ctx.path_scratch);
                 ctx.geometry.update_path_into(req.leaf, &mut path);
-                let levels = ctx.geometry.levels();
-                for level in 1..=levels {
-                    let label = path[level_slot(levels - level)];
+                for (&label, level) in path.iter().rev().zip(1..) {
                     t = self.gated_update(label, level, t, ctx);
                 }
-                *ctx.walk = path;
+                *ctx.path_scratch = path;
             }
             Mutation::IgnoreEpochGate | Mutation::RegressSeal => {
                 for (label, level) in ctx.geometry.walk_up(req.leaf) {
@@ -119,19 +122,9 @@ impl UpdateEngine for MutantEngine {
     }
 
     fn seal_epoch(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
-        let cur_max = self
-            .cur_epoch_level_max
-            .iter()
-            .copied()
-            .fold(Cycle::ZERO, Cycle::max);
-        for (prev, cur) in self
-            .prev_epoch_level_done
-            .iter_mut()
-            .zip(&mut self.cur_epoch_level_max)
-        {
-            *prev = (*prev).max(*cur);
-            *cur = Cycle::ZERO;
-        }
+        let cur_max = self.cur_epoch_level_max.latest();
+        self.cur_epoch_level_max
+            .retire_into(&mut self.prev_epoch_level_done);
         let completion = match (self.mutation, self.last_reported_seal) {
             // The planted bug: claim this epoch retired just before its
             // predecessor.
@@ -204,7 +197,7 @@ mod tests {
         assert!(
             h.tap
                 .iter()
-                .any(|ev| ev.done < e.prev_epoch_level_done[(ev.level - 1) as usize]),
+                .any(|ev| ev.done < e.prev_epoch_level_done.get(ev.level)),
             "gate-free updates should land before the sealed frontier"
         );
     }

@@ -9,35 +9,36 @@
 //!
 //! | Engine | Scheme | Ordering rule |
 //! |---|---|---|
-//! | [`SequentialEngine`] | `sp`, `secure_WB` evictions | one persist at a time, one level at a time |
-//! | [`PipelinedEngine`] | `pipeline` | PTT: persists stagger one tree level apart, in order |
-//! | [`UnorderedEngine`] | `unordered` | none (violates Invariant 2) |
-//! | [`OooEngine`] | `o3` | ETT: free within an epoch, levels pipelined across epochs |
-//! | [`CoalescingEngine`] | `coalescing` | `o3` plus LCA handoff chains |
-//! | [`CounterTreeEngine`] | `sp_ctree` | sequential, whole path persists (§V-D extension) |
-//! | [`TriadNvmEngine`] | `triad_nvm` | strict over the deepest N levels, relaxed above |
-//! | [`PhoenixEngine`] | `phoenix` | whole path persists plus a dual-copy root commit |
+//! Every engine updates its path through one primitive,
+//! [`EngineCtx::walk`]: a contiguous range of levels, deepest first.
+//! An engine supplies only the per-level gate and what it records
+//! after each update.
+//!
+//! | Engine | Scheme | Walk | Ordering rule |
+//! |---|---|---|---|
+//! | [`SequentialEngine`] | `sp`, `secure_WB` evictions | full path (floor 1) | one persist at a time, one level at a time |
+//! | [`SequentialEngine`] | `triad_nvm` | the deepest levels, down to the floor | as `sp` over the strict slice; relaxed above |
+//! | [`PipelinedEngine`] | `pipeline` | full path | PTT: persists stagger one tree level apart, in order |
+//! | [`UnorderedEngine`] | `unordered` | full path | none (violates Invariant 2) |
+//! | [`OooEngine`] | `o3` | full path | ETT: free within an epoch, levels pipelined across epochs |
+//! | [`CoalescingEngine`] | `coalescing` | below the LCA, then the carrier's suffix | `o3` plus LCA handoff chains |
+//! | [`CounterTreeEngine`] | `sp_ctree` | full path | sequential, whole path persists (§V-D extension) |
+//! | [`CounterTreeEngine`] | `phoenix` | full path | as `sp_ctree`, plus a dual-copy root commit |
 
 mod coalesce;
 mod ctree;
 mod ctx;
-mod mutant;
 mod ooo;
-mod phoenix;
 mod pipeline;
 mod sequential;
-mod triad;
 mod unordered;
 
 pub use coalesce::CoalescingEngine;
 pub use ctree::CounterTreeEngine;
-pub use ctx::EngineCtx;
-pub use mutant::{Mutation, MutantEngine};
+pub use ctx::{EngineCtx, MutantEngine, Mutation};
 pub use ooo::OooEngine;
-pub use phoenix::PhoenixEngine;
 pub use pipeline::PipelinedEngine;
 pub use sequential::SequentialEngine;
-pub use triad::TriadNvmEngine;
 pub use unordered::UnorderedEngine;
 
 use plp_bmt::NodeLabel;
@@ -61,6 +62,43 @@ pub struct EngineStats {
 /// and index their per-level tables with tree levels.
 pub(crate) fn level_slot(v: u32) -> usize {
     v as usize
+}
+
+/// One completion cycle per tree level, indexed by 1-based level
+/// (level 1 is the root): the per-level tables the epoch engines keep.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelTimes(Vec<Cycle>);
+
+impl LevelTimes {
+    /// All-zero times for a `levels`-deep tree.
+    pub(crate) fn new(levels: u32) -> Self {
+        LevelTimes(vec![Cycle::ZERO; level_slot(levels)])
+    }
+
+    /// The time recorded for `level`.
+    pub(crate) fn get(&self, level: u32) -> Cycle {
+        self.0[level_slot(level - 1)]
+    }
+
+    /// Raises `level`'s time to at least `t`.
+    pub(crate) fn raise(&mut self, level: u32, t: Cycle) {
+        let slot = level_slot(level - 1);
+        self.0[slot] = self.0[slot].max(t);
+    }
+
+    /// The latest time over all levels.
+    pub(crate) fn latest(&self) -> Cycle {
+        self.0.iter().copied().fold(Cycle::ZERO, Cycle::max)
+    }
+
+    /// Folds these times into `sealed` level by level and clears them:
+    /// an epoch's per-level completions become the next epoch's gates.
+    pub(crate) fn retire_into(&mut self, sealed: &mut LevelTimes) {
+        for (prev, cur) in sealed.0.iter_mut().zip(&mut self.0) {
+            *prev = (*prev).max(*cur);
+            *cur = Cycle::ZERO;
+        }
+    }
 }
 
 /// A persist request handed to an engine.
@@ -104,18 +142,20 @@ pub trait UpdateEngine: std::fmt::Debug + Send {
 
 /// Builds the engine for `config`'s scheme. The `secure_WB` baseline
 /// routes its eviction write-backs through a sequential engine (§VII:
-/// evicted dirty blocks update the BMT sequentially).
+/// evicted dirty blocks update the BMT sequentially); `triad_nvm` is
+/// the same engine stopped at its floor, and `phoenix` is the counter
+/// tree engine with its shadow-root commit.
 pub fn for_config(config: &SystemConfig) -> Box<dyn UpdateEngine> {
     let levels = config.bmt.levels();
     match config.scheme {
-        UpdateScheme::SecureWb | UpdateScheme::Sp => Box::<SequentialEngine>::default(),
+        UpdateScheme::SecureWb | UpdateScheme::Sp => Box::new(SequentialEngine::new(1)),
         UpdateScheme::Pipeline => Box::new(PipelinedEngine::new(levels, config.ptt_entries)),
         UpdateScheme::Unordered => Box::<UnorderedEngine>::default(),
         UpdateScheme::O3 => Box::new(OooEngine::new(levels, config.ett_entries)),
         UpdateScheme::Coalescing => Box::new(CoalescingEngine::new(levels, config.ett_entries)),
-        UpdateScheme::SpCounterTree => Box::<CounterTreeEngine>::default(),
-        UpdateScheme::TriadNvm => Box::new(TriadNvmEngine::new(config.triad_floor())),
-        UpdateScheme::Phoenix => Box::<PhoenixEngine>::default(),
+        UpdateScheme::SpCounterTree => Box::new(CounterTreeEngine::new(false)),
+        UpdateScheme::TriadNvm => Box::new(SequentialEngine::new(config.triad_floor())),
+        UpdateScheme::Phoenix => Box::new(CounterTreeEngine::new(true)),
     }
 }
 
@@ -136,7 +176,7 @@ pub(crate) mod testutil {
         pub nvm: NvmDevice,
         pub stats: EngineStats,
         pub tap: Vec<NodeUpdateEvent>,
-        pub walk: Vec<NodeLabel>,
+        pub path_scratch: Vec<NodeLabel>,
     }
 
     impl CtxHarness {
@@ -150,7 +190,7 @@ pub(crate) mod testutil {
                 nvm: NvmDevice::new(NvmConfig::paper_default()),
                 stats: EngineStats::default(),
                 tap: Vec::new(),
-                walk: Vec::new(),
+                path_scratch: Vec::new(),
             }
         }
 
@@ -169,7 +209,7 @@ pub(crate) mod testutil {
                 nvm: &mut self.nvm,
                 stats: &mut self.stats,
                 tap: None,
-                walk: &mut self.walk,
+                path_scratch: &mut self.path_scratch,
                 failpoints: None,
             }
         }
@@ -184,7 +224,7 @@ pub(crate) mod testutil {
                 nvm: &mut self.nvm,
                 stats: &mut self.stats,
                 tap: Some(&mut self.tap),
-                walk: &mut self.walk,
+                path_scratch: &mut self.path_scratch,
                 failpoints: None,
             }
         }

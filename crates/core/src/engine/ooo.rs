@@ -1,9 +1,12 @@
 //! PLP mechanism 2: out-of-order BMT updates within an epoch (epoch
 //! persistency).
 
+use std::ops::RangeInclusive;
+
+use plp_bmt::NodeLabel;
 use plp_events::Cycle;
 
-use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
+use super::{EngineCtx, LevelTimes, UpdateEngine, UpdateRequest};
 
 /// The ETT/PTT engine of §V-B: persists of the *same* epoch update the
 /// tree out of order through fully pipelined MAC units (§IV-B1 proves
@@ -19,10 +22,10 @@ use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
 #[derive(Debug, Clone)]
 pub struct OooEngine {
     /// Per-level completion of the *previous* epoch: the ETT's level
-    /// authorization (index = level - 1).
-    prev_epoch_level_done: Vec<Cycle>,
+    /// authorization.
+    prev_epoch_level_done: LevelTimes,
     /// Per-level max completion of the current epoch.
-    cur_epoch_level_max: Vec<Cycle>,
+    cur_epoch_level_max: LevelTimes,
     /// Completion time of each sealed epoch, in order.
     epoch_completions: Vec<Cycle>,
     /// ETT admission floor for the current epoch.
@@ -40,28 +43,38 @@ impl OooEngine {
     pub fn new(levels: u32, ett_entries: usize) -> Self {
         assert!(ett_entries > 0, "ETT needs at least one entry");
         OooEngine {
-            prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
-            cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
+            prev_epoch_level_done: LevelTimes::new(levels),
+            cur_epoch_level_max: LevelTimes::new(levels),
             epoch_completions: Vec::new(),
             epoch_floor: Cycle::ZERO,
             ett_entries,
         }
     }
 
-    /// Schedules one node update at `at` under the epoch's constraints;
-    /// shared with the coalescing engine. Callers pass the level they
-    /// already track for the walk.
-    pub(super) fn epoch_update(
+    /// Walks `levels` of `leaf`'s path from `start` under the epoch's
+    /// constraints, with `extra_gate` additionally gating the
+    /// shallowest level (the coalescing engine's LCA); shared with the
+    /// coalescing engine. Returns the last update's completion.
+    pub(super) fn epoch_walk(
         &mut self,
-        label: plp_bmt::NodeLabel,
-        level: u32,
-        at: Cycle,
         ctx: &mut EngineCtx<'_>,
+        leaf: NodeLabel,
+        levels: RangeInclusive<u32>,
+        start: Cycle,
+        extra_gate: Cycle,
     ) -> Cycle {
-        let slot = level_slot(level - 1);
-        let done = ctx.update_node(label, level, at.max(self.prev_epoch_level_done[slot]));
-        self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
-        done
+        let shallowest = *levels.start();
+        let gate = |level: u32| {
+            let handoff = self.prev_epoch_level_done.get(level);
+            if level == shallowest {
+                handoff.max(extra_gate)
+            } else {
+                handoff
+            }
+        };
+        ctx.walk(leaf, levels, start, gate, |_, _, level, done| {
+            self.cur_epoch_level_max.raise(level, done)
+        })
     }
 
     /// Floor applied to the current epoch's persists (exposed to the
@@ -75,11 +88,9 @@ impl UpdateEngine for OooEngine {
     /// Schedules one persist's walk; returns its own root-done time
     /// (persists of the same epoch complete in any order).
     fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        let mut t = req.now.max(self.epoch_floor);
-        for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = self.epoch_update(label, level, t, ctx);
-        }
-        t
+        let start = req.now.max(self.epoch_floor);
+        let levels = 1..=ctx.geometry.levels();
+        self.epoch_walk(ctx, req.leaf, levels, start, Cycle::ZERO)
     }
 
     /// Seals the current epoch: per-level completions become the next
@@ -88,22 +99,12 @@ impl UpdateEngine for OooEngine {
     fn seal_epoch(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
         // Epoch completion: all its updates done; monotonic so the
         // crash-recovery observer sees epochs complete in order.
-        let mut completion = self
-            .cur_epoch_level_max
-            .iter()
-            .copied()
-            .fold(Cycle::ZERO, Cycle::max);
+        let mut completion = self.cur_epoch_level_max.latest();
         if let Some(&last) = self.epoch_completions.last() {
             completion = completion.max(last);
         }
-        for (prev, cur) in self
-            .prev_epoch_level_done
-            .iter_mut()
-            .zip(&mut self.cur_epoch_level_max)
-        {
-            *prev = (*prev).max(*cur);
-            *cur = Cycle::ZERO;
-        }
+        self.cur_epoch_level_max
+            .retire_into(&mut self.prev_epoch_level_done);
         self.epoch_completions.push(completion);
         let n = self.epoch_completions.len();
         self.epoch_floor = if n >= self.ett_entries {
@@ -115,11 +116,7 @@ impl UpdateEngine for OooEngine {
     }
 
     fn drained_at(&self) -> Cycle {
-        let cur = self
-            .cur_epoch_level_max
-            .iter()
-            .copied()
-            .fold(Cycle::ZERO, Cycle::max);
+        let cur = self.cur_epoch_level_max.latest();
         let sealed = self
             .epoch_completions
             .last()

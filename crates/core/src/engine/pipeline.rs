@@ -1,6 +1,7 @@
 //! PLP mechanism 1: in-order pipelined BMT updates (strict
 //! persistency).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use plp_events::Cycle;
@@ -64,14 +65,20 @@ impl UpdateEngine for PipelinedEngine {
     /// Schedules the pipelined walk; returns the in-order root-done
     /// time.
     fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        let mut t = self.ptt_admission(req.now);
-        for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            let slot = level_slot(level - 1);
-            // Stage entry: after our previous stage and after the older
-            // persist has left this level (in-order guarantee).
-            t = ctx.update_node(label, level, t.max(self.level_free[slot]));
-            self.level_free[slot] = t;
-        }
+        let start = self.ptt_admission(req.now);
+        let levels = 1..=ctx.geometry.levels();
+        // The gate reads and the hook writes the same per-level table.
+        let free = Cell::from_mut(self.level_free.as_mut_slice()).as_slice_of_cells();
+        let slot = |level: u32| &free[level_slot(level - 1)];
+        // Stage entry: after our previous stage and after the older
+        // persist has left this level (in-order guarantee).
+        let t = ctx.walk(
+            req.leaf,
+            levels,
+            start,
+            |level| slot(level).get(),
+            |_, _, level, done| slot(level).set(done),
+        );
         self.inflight.push_back(t);
         t
     }
@@ -154,7 +161,7 @@ mod tests {
             last_pipe = pipe.persist(h.req(i * 64 % 512, 0), &mut h.ctx());
         }
         let mut h2 = CtxHarness::ideal();
-        let mut seq = SequentialEngine::default();
+        let mut seq = SequentialEngine::new(1);
         let mut last_seq = Cycle::ZERO;
         for i in 0..50 {
             last_seq = seq.persist(h2.req(i * 64 % 512, 0), &mut h2.ctx());

@@ -18,8 +18,9 @@ use super::{EngineCtx, UpdateEngine, UpdateRequest};
 /// how much an ordering-free design under-estimates the cost of
 /// correctness. (The relaxed-tree design from the related literature,
 /// which Table IV's prose loosely gestures at, is modelled faithfully
-/// by [`crate::engine::TriadNvmEngine`] instead: it persists a strict
-/// lower slice of the tree rather than abandoning ordering wholesale.)
+/// by `triad_nvm`'s [`crate::engine::SequentialEngine`] instead: it
+/// persists a strict lower slice of the tree rather than abandoning
+/// ordering wholesale.)
 #[derive(Debug, Clone, Default)]
 pub struct UnorderedEngine {
     drained: Cycle,
@@ -29,10 +30,8 @@ impl UpdateEngine for UnorderedEngine {
     /// Schedules the unordered walk; returns this persist's own
     /// root-update time (no ordering with other persists).
     fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        let mut t = req.now;
-        for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = ctx.update_node(label, level, t);
-        }
+        let levels = 1..=ctx.geometry.levels();
+        let t = ctx.walk(req.leaf, levels, req.now, |_| Cycle::ZERO, |_, _, _, _| {});
         self.drained = self.drained.max(t);
         t
     }

@@ -36,7 +36,7 @@ pub enum Failpoint {
     /// atomic schemes instead tear the in-flight tuple frame here.
     MidTuple,
     /// Between consecutive integrity-tree node updates inside one
-    /// persist (fires at every `EngineCtx::update_node`).
+    /// persist (fires at every node update of `EngineCtx::walk`).
     BetweenLevels,
     /// Immediately before the engine is asked to seal the root for
     /// the current persist.

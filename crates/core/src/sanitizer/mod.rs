@@ -9,7 +9,7 @@
 //! subscribes to the single persist path
 //! ([`crate::Simulation`]'s `persist_block`) and to every BMT node
 //! update each engine schedules (via
-//! [`crate::engine::EngineCtx::update_node`]), and validates the
+//! [`crate::engine::EngineCtx::walk`]), and validates the
 //! scheme's contract event by event:
 //!
 //! * **Invariant 1** — at persist retirement the memory tuple

@@ -160,7 +160,7 @@ impl SimSetup {
         Simulation {
             sanitizer,
             node_tap: Vec::new(),
-            walk_scratch: Vec::with_capacity(config.bmt.levels_usize()),
+            path_scratch: Vec::with_capacity(config.bmt.levels_usize()),
             reencrypt_scratch: Vec::new(),
             flush_scratch: Vec::new(),
             hierarchy: Hierarchy::paper_default(config.llc_bytes),
@@ -274,8 +274,8 @@ pub struct Simulation {
     /// Scratch buffer the engine tap fills per engine call; drained
     /// into the sanitizer and reused to avoid per-persist allocation.
     node_tap: Vec<NodeUpdateEvent>,
-    /// Label scratch lent to the engine via [`EngineCtx::walk`].
-    walk_scratch: Vec<NodeLabel>,
+    /// Label scratch lent to the engine via [`EngineCtx::path_scratch`].
+    path_scratch: Vec<NodeLabel>,
     /// Reusable page-overflow re-encryption work list.
     reencrypt_scratch: Vec<(BlockAddr, DataBlock, plp_crypto::CounterValue)>,
     /// Reusable epoch-seal flush list (the epoch set snapshot).
@@ -406,7 +406,7 @@ impl Simulation {
             nvm: &mut self.nvm,
             stats: &mut self.engine_stats,
             tap,
-            walk: &mut self.walk_scratch,
+            path_scratch: &mut self.path_scratch,
             failpoints: self.failpoints.as_mut(),
         };
         f(self.engine.as_mut(), &mut ctx)

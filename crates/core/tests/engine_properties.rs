@@ -18,7 +18,7 @@ struct Harness {
     meta: MetadataCaches,
     nvm: NvmDevice,
     stats: EngineStats,
-    walk: Vec<plp_bmt::NodeLabel>,
+    path_scratch: Vec<plp_bmt::NodeLabel>,
 }
 
 impl Harness {
@@ -28,7 +28,7 @@ impl Harness {
             meta: MetadataCaches::new(32 << 10, ideal),
             nvm: NvmDevice::new(NvmConfig::paper_default()),
             stats: EngineStats::default(),
-            walk: Vec::new(),
+            path_scratch: Vec::new(),
         }
     }
 
@@ -40,7 +40,7 @@ impl Harness {
             nvm: &mut self.nvm,
             stats: &mut self.stats,
             tap: None,
-            walk: &mut self.walk,
+            path_scratch: &mut self.path_scratch,
             failpoints: None,
         }
     }
@@ -78,7 +78,7 @@ proptest! {
     fn sequential_dominates_pipeline(stream in arb_stream()) {
         let mut hs = Harness::new(true);
         let mut hp = Harness::new(true);
-        let mut seq = SequentialEngine::default();
+        let mut seq = SequentialEngine::new(1);
         let mut pipe = PipelinedEngine::new(LEVELS, 64);
         let mut now = Cycle::ZERO;
         let (mut last_s, mut last_p) = (Cycle::ZERO, Cycle::ZERO);
@@ -159,8 +159,8 @@ proptest! {
     fn counter_tree_dominates_sequential(stream in arb_stream()) {
         let mut hs = Harness::new(true);
         let mut hc = Harness::new(true);
-        let mut seq = SequentialEngine::default();
-        let mut ct = CounterTreeEngine::default();
+        let mut seq = SequentialEngine::new(1);
+        let mut ct = CounterTreeEngine::new(false);
         let mut now = Cycle::ZERO;
         for (page, gap) in stream {
             now += Cycle::new(gap);

@@ -223,6 +223,31 @@ impl NvmConfig {
         if !(0.0..=1.0).contains(&p) || p.is_nan() {
             return Err(NvmError::BadFaultProbability { probability: p });
         }
+        let t = &self.timing;
+        for (field, ns) in [
+            ("tRCD", t.t_rcd_ns),
+            ("tXAW", t.t_xaw_ns),
+            ("tBURST", t.t_burst_ns),
+            ("tWR", t.t_wr_ns),
+            ("tRFC", t.t_rfc_ns),
+            ("tCL", t.t_cl_ns),
+        ] {
+            if ns.is_nan() || ns < 0.0 {
+                return Err(NvmError::BadTiming { field, ns });
+            }
+        }
+        // Every booking must occupy its bank for at least one cycle: a
+        // zero-length one would share a start with a real reservation.
+        let cpu = self.cpu_freq;
+        for (op, cycles) in [
+            ("row-miss read", t.read_row_miss_cycles(cpu)),
+            ("row-hit read", t.read_row_hit_cycles(cpu)),
+            ("write", t.write_cycles(cpu)),
+        ] {
+            if cycles == Cycle::ZERO {
+                return Err(NvmError::ZeroLatency { op });
+            }
+        }
         Ok(())
     }
 }
@@ -251,6 +276,18 @@ pub enum NvmError {
     BadFaultProbability {
         /// The rejected probability.
         probability: f64,
+    },
+    /// Timings are non-negative numbers of nanoseconds.
+    BadTiming {
+        /// Which timing parameter (`"tWR"`, …).
+        field: &'static str,
+        /// The rejected value.
+        ns: f64,
+    },
+    /// Every device operation must take at least one CPU cycle.
+    ZeroLatency {
+        /// Which operation (`"write"`, …).
+        op: &'static str,
     },
     /// An I/O operation on a file-backed image failed.
     ImageIo {
@@ -291,6 +328,15 @@ impl std::fmt::Display for NvmError {
             NvmError::BadFaultProbability { probability } => {
                 write!(f, "read-fault probability {probability} outside [0, 1]")
             }
+            NvmError::BadTiming { field, ns } => {
+                write!(
+                    f,
+                    "NVM timing {field} = {ns} ns must be a non-negative number"
+                )
+            }
+            NvmError::ZeroLatency { op } => {
+                write!(f, "NVM {op} latency rounds to zero CPU cycles")
+            }
             NvmError::ImageIo { op } => {
                 write!(f, "image file {op} failed")
             }
@@ -327,6 +373,72 @@ mod tests {
         assert_eq!(t.read_row_miss_cycles(cpu).get(), 290); // 72.5 ns
         assert_eq!(t.read_row_hit_cycles(cpu).get(), 70); // 17.5 ns
         assert_eq!(t.write_cycles(cpu).get(), 600); // 150 ns
+    }
+
+    fn with_timing(edit: impl FnOnce(&mut NvmTiming)) -> NvmConfig {
+        let mut c = NvmConfig::default();
+        edit(&mut c.timing);
+        c
+    }
+
+    #[test]
+    fn nan_timing_is_rejected() {
+        let c = with_timing(|t| t.t_cl_ns = f64::NAN);
+        assert!(matches!(
+            c.validate(),
+            Err(NvmError::BadTiming { field: "tCL", ns }) if ns.is_nan()
+        ));
+    }
+
+    #[test]
+    fn negative_timing_is_rejected() {
+        let c = with_timing(|t| t.t_xaw_ns = -1.0);
+        assert_eq!(
+            c.validate(),
+            Err(NvmError::BadTiming {
+                field: "tXAW",
+                ns: -1.0
+            })
+        );
+    }
+
+    #[test]
+    fn zero_write_latency_is_rejected() {
+        let c = with_timing(|t| t.t_wr_ns = 0.0);
+        assert_eq!(c.validate(), Err(NvmError::ZeroLatency { op: "write" }));
+    }
+
+    #[test]
+    fn zero_row_hit_latency_is_rejected() {
+        // tRCD alone still makes a row miss cost something.
+        let c = with_timing(|t| {
+            t.t_cl_ns = 0.0;
+            t.t_burst_ns = 0.0;
+        });
+        assert_eq!(
+            c.validate(),
+            Err(NvmError::ZeroLatency { op: "row-hit read" })
+        );
+    }
+
+    #[test]
+    fn zero_row_miss_latency_is_rejected() {
+        let c = with_timing(|t| {
+            t.t_rcd_ns = 0.0;
+            t.t_cl_ns = 0.0;
+            t.t_burst_ns = 0.0;
+        });
+        assert_eq!(
+            c.validate(),
+            Err(NvmError::ZeroLatency {
+                op: "row-miss read"
+            })
+        );
+    }
+
+    #[test]
+    fn default_timings_are_valid() {
+        assert_eq!(NvmConfig::default().validate(), Ok(()));
     }
 
     #[test]

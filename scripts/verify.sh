@@ -17,8 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release -q -p plp-core --test long_runs -- --ignored
 
 # The NVM bank schedule against its BTreeMap oracle over 2M bookings
-# (frontier and o3-shaped streams, bookings behind the pruned horizon,
-# zero-length bookings): every start, late booking and prune agrees.
+# (frontier and o3-shaped streams, bookings behind the pruned horizon;
+# no booking is zero-length, since NvmConfig::validate rejects a
+# zero-cycle latency): every start, late booking and prune agrees.
 cargo test --release -q -p plp-nvm --lib -- --ignored
 
 # Lint self-test: the fixture corpus under crates/analyze/tests/
@@ -54,7 +55,8 @@ grep -q '"cfg_blocks":' results/analysis.json || {
 # Smoke: every experiment spec end-to-end at reduced instruction count,
 # uncached so it always exercises the simulator, parallel so it also
 # exercises the worker pool. Byte-determinism of the output against a
-# serial run is covered by crates/bench/tests/determinism.rs.
+# serial run is covered by crates/bench/tests/determinism.rs. The
+# chaos and unit-topology gates below compare against this one run.
 clean_out=$(mktemp)
 cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache > "$clean_out"
 
@@ -97,7 +99,7 @@ repo_root=$(pwd)
 cmp "$clean_out" "$chaos_out" || {
   echo "verify: chaos sweep stdout diverged from the clean run"; exit 1
 }
-rm -rf "$clean_out" "$chaos_out" "$chaos_dir"
+rm -rf "$chaos_out" "$chaos_dir"
 
 # Sharded-topology gate. Three parts:
 #   1. `all --streams 1 --shards 1` must be stdout byte-identical to
@@ -116,9 +118,7 @@ shard_chaos_out=$(mktemp)
 shard_dir=$(mktemp -d)
 repo_root=$(pwd)
 cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache --streams 1 --shards 1 > "$unit_out"
-clean_ref=$(mktemp)
-cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache > "$clean_ref"
-cmp "$clean_ref" "$unit_out" || {
+cmp "$clean_out" "$unit_out" || {
   echo "verify: --streams 1 --shards 1 stdout diverged from the unsharded run"; exit 1
 }
 (cd "$shard_dir" && "$repo_root/target/release/all" 6000 7 --streams 4 --shards 4 2> shard.err > "$shard_out") || {
@@ -133,7 +133,7 @@ cmp "$shard_out" "$shard_chaos_out" || {
 ./target/release/shard_sweep 6000 7 > /dev/null || {
   echo "verify: shard_sweep (scaling table + cross-shard mutation checks) failed"; exit 1
 }
-rm -rf "$unit_out" "$clean_ref" "$shard_out" "$shard_chaos_out" "$shard_dir"
+rm -rf "$clean_out" "$unit_out" "$shard_out" "$shard_chaos_out" "$shard_dir"
 
 # Crash-harness gate: a reduced real-process SIGKILL sweep (two
 # failpoints, one hit, all seven swept schemes — the five correct
